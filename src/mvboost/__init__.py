@@ -14,7 +14,6 @@ from .distributions import (
     MvnFamily,
     ScaleMatrix,
     ThetaVector,
-    UnivariateFamily,
     build_scale_matrix,
     fisher_information,
     fit_theta_from_moments,

@@ -10,7 +10,9 @@ learning rate:
 Early stopping watches mean validation negative log-likelihood with a
 patience; the model keeps only the stages up to the best validation point and
 is never refit after selection.  Setting ``natural_gradient=False`` gives the
-plain-gradient ablation.  Fits are deterministic given their inputs.
+plain-gradient ablation.  The independent baseline fits each target column
+with the same Gaussian family at p = 1 and assembles a diagonal-covariance
+model from the columns.  Fits are deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -19,13 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (
-    DIAG_EPS,
-    InvalidParameterError,
-    MvnFamily,
-    UnivariateFamily,
-    param_count,
-)
+from .distributions import InvalidParameterError, MvnFamily, param_count
 from .trees import RegressionTree, TreeParams, fit_tree, predict_tree_batch
 
 # rho candidates for the stage line search: {2^k : k = -10..5}; includes 1.
@@ -115,9 +111,9 @@ def fit(X_train, Y_train, X_val=None, Y_val=None, config: BoostConfig | None = N
         family=None) -> BoostModel:
     """Run the boosting loop for one distribution family.
 
-    ``family`` defaults to a multivariate Gaussian sized from Y_train's column
-    count.  With an empty validation set there is no early stopping and all
-    fitted stages are used.
+    ``family`` defaults to the multivariate Gaussian sized from Y_train's
+    column count, p = 1 included.  With an empty validation set there is no
+    early stopping and all fitted stages are used.
     """
     config = config or BoostConfig()
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
@@ -127,7 +123,7 @@ def fit(X_train, Y_train, X_val=None, Y_val=None, config: BoostConfig | None = N
     if X_train.shape[0] != Y_train.shape[0]:
         raise ValueError("X_train and Y_train row counts differ")
     if family is None:
-        family = MvnFamily(Y_train.shape[1]) if Y_train.shape[1] > 1 else UnivariateFamily()
+        family = MvnFamily(Y_train.shape[1])
 
     have_val = X_val is not None and Y_val is not None and len(np.atleast_1d(Y_val)) > 0
     if have_val:
@@ -209,7 +205,7 @@ def predict_theta(model: BoostModel, X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndependentModel:
-    """p univariate boosting fits assembled into a diagonal-covariance MVN."""
+    """p one-dimensional MVN fits assembled into a diagonal-covariance MVN."""
 
     models: tuple[BoostModel, ...]
 
@@ -226,15 +222,14 @@ class IndependentModel:
         pos = p
         for i, part in enumerate(parts):
             out[:, i] = part[:, 0]
-            # a_ii must equal 1/sigma_i, net of the diagonal perturbation
-            out[:, pos] = np.log(np.exp(-part[:, 1]) - DIAG_EPS)
+            out[:, pos] = part[:, 1]
             pos += p - i
         return out
 
 
 def fit_independent(X_train, Y_train, X_val=None, Y_val=None,
                     config: BoostConfig | None = None) -> IndependentModel:
-    """One univariate fit per target column, each with its own early stopping."""
+    """One p = 1 fit per target column, each with its own early stopping."""
     Y_train = np.asarray(Y_train, dtype=float)
     if Y_train.ndim != 2 or Y_train.shape[1] < 1:
         raise InvalidParameterError("Y_train must be (n, p) with p >= 1")
@@ -242,6 +237,6 @@ def fit_independent(X_train, Y_train, X_val=None, Y_val=None,
     for j in range(Y_train.shape[1]):
         y_val_j = None if Y_val is None else np.asarray(Y_val, dtype=float)[:, j]
         models.append(
-            fit(X_train, Y_train[:, j], X_val, y_val_j, config, family=UnivariateFamily())
+            fit(X_train, Y_train[:, j], X_val, y_val_j, config, family=MvnFamily(1))
         )
     return IndependentModel(models=tuple(models))

@@ -17,12 +17,11 @@ import numpy as np
 from . import boosting, metrics, simulation
 from .data_io import DataError, DatasetSpec, MinMaxScaling, load_dataset, read_table, write_csv
 from .distributions import (
-    DIAG_EPS,
     InvalidParameterError,
-    MvnFamily,
-    SingularMetricError,
+    dim_from_param_count,
     nll_batch,
     scale_matrices,
+    thetas_from_scale_matrices,
     triu_layout,
 )
 from .model_io import ModelFormatError, load_model, save_model
@@ -40,8 +39,8 @@ def _handle_errors(func):
         except (DataError, ModelFormatError) as exc:
             click.echo(f"data error: {exc}", err=True)
             sys.exit(EXIT_DATA_ERROR)
-        except (SingularMetricError, InvalidParameterError,
-                boosting.NonFiniteGradientError, np.linalg.LinAlgError) as exc:
+        except (InvalidParameterError, boosting.NonFiniteGradientError,
+                np.linalg.LinAlgError) as exc:
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(EXIT_NUMERIC_ERROR)
 
@@ -189,8 +188,7 @@ def cmd_train(data_path, targets, features, val_file, val_frac, independent,
         model = boosting.fit_independent(X, Y, X_val, Y_val, config)
         paths = [(m.train_nll_path, m.val_nll_path) for m in model.models]
     else:
-        family = MvnFamily(Y.shape[1]) if Y.shape[1] > 1 else None
-        model = boosting.fit(X, Y, X_val, Y_val, config, family=family)
+        model = boosting.fit(X, Y, X_val, Y_val, config)
         paths = [(model.train_nll_path, model.val_nll_path)]
 
     metadata = {
@@ -220,35 +218,26 @@ def _predict_joint_thetas(model, doc, X):
         X = MinMaxScaling.from_dict(scaling["x"]).transform(X)
     if isinstance(model, boosting.IndependentModel):
         thetas = model.predict_theta(X)
-        p = model.p
     else:
         thetas = boosting.predict_theta(model, X)
-        if model.family_tag == "univariate":
-            # promote to the p=1 joint layout (mu, nu_11)
-            p = 1
-            joint = np.empty((thetas.shape[0], 2))
-            joint[:, 0] = thetas[:, 0]
-            joint[:, 1] = np.log(np.exp(-thetas[:, 1]) - DIAG_EPS)
-            thetas = joint
-        else:
-            p = int(round((np.sqrt(9 + 8 * thetas.shape[1]) - 3) / 2))
+    p = dim_from_param_count(thetas.shape[1])
     if "y" in scaling:
         thetas = _unscale_theta(thetas, p, MinMaxScaling.from_dict(scaling["y"]))
     return thetas, p
 
 
+def _feature_names(doc):
+    """The model's feature columns, which predict and evaluate look up by name."""
+    names = doc.get("feature_names")
+    if not names:
+        raise DataError("model file lists no feature_names to select from the data")
+    return tuple(names)
+
+
 def _unscale_theta(thetas, p, sy: MinMaxScaling):
     """Map thetas fitted on min-max scaled targets back to original units."""
-    L = scale_matrices(thetas, p)
-    L = L / sy.span[None, None, :]
-    out = np.empty_like(thetas)
-    out[:, :p] = thetas[:, :p] * sy.span + sy.minima
-    rows, cols = triu_layout(p)
-    vals = L[:, rows, cols].copy()
-    diag = rows == cols
-    vals[:, diag] = np.log(vals[:, diag] - DIAG_EPS)
-    out[:, p:] = vals
-    return out
+    L = scale_matrices(thetas, p) / sy.span[None, None, :]
+    return thetas_from_scale_matrices(thetas[:, :p] * sy.span + sy.minima, L)
 
 
 @main.command("predict")
@@ -262,7 +251,7 @@ def cmd_predict(model_path, data_path, out, force):
     _check_overwrite(out, force)
     model, doc = load_model(model_path)
     table = read_table(data_path)
-    feature_cols = tuple(doc["feature_names"])
+    feature_cols = _feature_names(doc)
     target_cols = tuple(doc.get("target_names") or ())
     X = table.select(feature_cols)
     thetas, p = _predict_joint_thetas(model, doc, X)
@@ -301,7 +290,7 @@ def cmd_evaluate(model_path, data_path, truth_path, alpha, out, force):
         _check_overwrite(out, force)
     model, doc = load_model(model_path)
     table = read_table(data_path)
-    feature_cols = tuple(doc["feature_names"])
+    feature_cols = _feature_names(doc)
     target_cols = tuple(doc.get("target_names") or ())
     if not target_cols or not all(c in table.columns for c in target_cols):
         raise DataError("evaluate requires the model's target columns in the data file")

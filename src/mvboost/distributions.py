@@ -11,8 +11,9 @@ of L is exp(nu_ii) plus a small perturbation for numerical stability; the
 off-diagonals are the nu_ij themselves.  Every finite theta therefore maps to a
 valid positive definite covariance.
 
-A two-parameter univariate Gaussian family (mu, log sigma) is provided for the
-per-dimension independent baseline.
+The Fisher information is block-diagonal (the mean block, then one block per
+row i of L), so the natural gradient needs no solve: it is z = mu - y for the
+means and (L_i^T L_i - l_i l_i^T / 2) g_i for row i, by Sherman-Morrison.
 
 All core computations have batch variants operating on an (n, M) array of
 parameter rows; these are what the boosting loop consumes.  Everything here is
@@ -29,10 +30,6 @@ from scipy.linalg import solve_triangular
 DIAG_EPS = 1e-6
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Jitter ladder for near-singular metric solves: relative to trace(F)/M,
-# starting at 1e-9 and escalating x10 until 1e-3 before giving up.
-_JITTERS = (0.0, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
-
 
 class InvalidDimensionError(ValueError):
     """Target dimension p is not a positive integer."""
@@ -40,14 +37,6 @@ class InvalidDimensionError(ValueError):
 
 class InvalidParameterError(ValueError):
     """Parameter vector is malformed (wrong length, non-finite, ...)."""
-
-
-class SingularMetricError(RuntimeError):
-    """Fisher metric could not be factorized even after maximum jitter."""
-
-    def __init__(self, message, theta=None):
-        super().__init__(message)
-        self.theta = theta
 
 
 def param_count(p: int) -> int:
@@ -187,17 +176,25 @@ def fisher_batch(thetas, p) -> np.ndarray:
 
     Block structure: the mean block is the precision L^T L; the mean/nu cross
     block is identically zero; the nu block couples entries that share a row
-    of L, through the covariance Sigma = (L^T L)^{-1}.
+    of L, through the covariance Sigma = (L^T L)^{-1}.  Diagonal entries carry
+    the score's chain factor e_i = exp(nu_ii), not a_ii = e_i + DIAG_EPS.
+
+    The fit does not call this: :func:`natural_gradient_batch` inverts the
+    blocks in closed form.  It is kept as the reference the tests compare
+    against and for :func:`fisher_information`.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n = thetas.shape[0]
     m = param_count(p)
     L = scale_matrices(thetas, p)
     prec = np.einsum("nki,nkj->nij", L, L)
-    sigma = np.linalg.inv(prec)
-    sigma = 0.5 * (sigma + np.transpose(sigma, (0, 2, 1)))
+    # Sigma = L^{-1} L^{-T}: inverting L rather than L^T L keeps Sigma accurate
+    # when the diagonal of L spans many orders of magnitude.
+    inv_l = np.linalg.inv(L)
+    sigma = np.einsum("nik,njk->nij", inv_l, inv_l)
     rows, cols = triu_layout(p)
     a_diag = L[:, np.arange(p), np.arange(p)]
+    e_diag = np.exp(thetas[:, p:][:, rows == cols])
 
     fisher = np.zeros((n, m, m))
     fisher[:, :p, :p] = prec
@@ -206,59 +203,45 @@ def fisher_batch(thetas, p) -> np.ndarray:
         i, j = rows[s], cols[s]
         for t in range(s, n_nu):
             k, q = rows[t], cols[t]
+            if i != k:  # entries in different rows of L are uncorrelated
+                continue
             if i == j and k == q:
-                if i == k:
-                    # sum_{r >= i} a_ir Sigma_ir along row i of L
-                    row_sum = np.einsum("nr,nr->n", L[:, i, i:], sigma[:, i, i:])
-                    val = a_diag[:, i] ** 2 * sigma[:, i, i] + a_diag[:, i] * row_sum
-                else:
-                    continue
-            elif i == j:  # diagonal nu_ii against off-diagonal nu_kq
-                if k == i:
-                    val = a_diag[:, i] * sigma[:, i, q]
-                else:
-                    continue
-            elif k == q:  # off-diagonal nu_ij against diagonal nu_kk
-                if i == k:
-                    val = a_diag[:, k] * sigma[:, k, j]
-                else:
-                    continue
+                val = e_diag[:, i] ** 2 * (sigma[:, i, i] + 1.0 / a_diag[:, i] ** 2)
+            elif i == j:  # diagonal nu_ii against off-diagonal nu_iq
+                val = e_diag[:, i] * sigma[:, i, q]
             else:  # both off-diagonal
-                if i == k:
-                    val = sigma[:, j, q]
-                else:
-                    continue
+                val = sigma[:, j, q]
             fisher[:, p + s, p + t] = val
             fisher[:, p + t, p + s] = val
     return fisher
 
 
-def _solve_spd_batch(mats, rhs, thetas=None):
-    """Solve mats @ x = rhs per row via Cholesky, escalating jitter on failure."""
-    m = mats.shape[-1]
-    scale = np.trace(mats, axis1=-2, axis2=-1) / m
-    eye = np.eye(m)
-    for jit in _JITTERS:
-        shifted = mats if jit == 0.0 else mats + (jit * scale)[:, None, None] * eye
-        try:
-            chol = np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            continue
-        half = np.linalg.solve(chol, rhs[..., None])
-        x = np.linalg.solve(np.transpose(chol, (0, 2, 1)), half)[..., 0]
-        if np.all(np.isfinite(x)):
-            return x
-    raise SingularMetricError(
-        "Fisher metric not positive definite after maximum jitter", theta=thetas
-    )
-
-
 def natural_gradient_batch(thetas, Ys, p) -> np.ndarray:
-    """Fisher-preconditioned score, solved per row."""
+    """Fisher-preconditioned score per row, in closed form.
+
+    The mean block is z = mu - y.  In the entries of L, row i's Fisher block is
+    Sigma[i:, i:] + e0 e0^T / a_ii^2; since Sigma[i:, i:]^{-1} = L_i^T L_i with
+    L_i = L[i:, i:], Sherman-Morrison gives its inverse as
+    L_i^T L_i - l_i l_i^T / 2 with l_i = L[i, i:].  All rows are handled at
+    once by upper-triangular masking; the diagonal entries then divide by the
+    chain factor exp(nu_ii).
+    """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    grad = score_batch(thetas, Ys, p)
-    fisher = fisher_batch(thetas, p)
-    return _solve_spd_batch(fisher, grad, thetas=thetas)
+    L, z, eta = _whiten(thetas, Ys, p)
+    rows, cols = triu_layout(p)
+    idx = np.arange(p)
+    # gradient of the NLL in the entries of L
+    G = np.triu(eta[:, :, None] * z[:, None, :])
+    G[:, idx, idx] -= 1.0 / L[:, idx, idx]
+    W = np.triu(G @ np.transpose(L, (0, 2, 1)))
+    N = W @ L - 0.5 * L * np.einsum("nij,nij->ni", L, G)[:, :, None]
+    out = np.empty_like(thetas)
+    out[:, :p] = z
+    nat = N[:, rows, cols]
+    diag = rows == cols
+    nat[:, diag] /= np.exp(thetas[:, p:][:, diag])
+    out[:, p:] = nat
+    return out
 
 
 def sample_each(thetas, p, rng) -> np.ndarray:
@@ -330,15 +313,12 @@ def fit_theta_from_moments(mean, covariance) -> ThetaVector:
     """Invert the moment map: recover theta whose (mu, Sigma) match the inputs."""
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.asarray(covariance, dtype=float)
-    p = mean.shape[0]
-    theta = np.empty(param_count(p))
-    theta[:p] = mean
-    theta[p:] = _nu_from_covariance(cov[None, :, :], p)[0]
-    return ThetaVector(theta, p)
+    theta = fit_theta_from_moments_batch(mean[None, :], cov[None, :, :])[0]
+    return ThetaVector(theta, mean.shape[0])
 
 
-def _nu_from_covariance(covs, p):
-    """nu entries (batched) from SPD covariance matrices via Cholesky factors."""
+def _precision_factors(covs, p):
+    """Upper-triangular U with U^T U = Sigma^{-1} (batched) via Cholesky factors."""
     try:
         chol = np.linalg.cholesky(covs)  # Sigma = C C^T, C lower
     except np.linalg.LinAlgError as exc:
@@ -349,28 +329,33 @@ def _nu_from_covariance(covs, p):
     c_inv = np.linalg.solve(chol, eye)
     prec = np.einsum("nki,nkj->nij", c_inv, c_inv)
     prec = 0.5 * (prec + np.transpose(prec, (0, 2, 1)))
-    upper = np.transpose(np.linalg.cholesky(prec), (0, 2, 1))
+    return np.transpose(np.linalg.cholesky(prec), (0, 2, 1))
+
+
+def thetas_from_scale_matrices(means, L) -> np.ndarray:
+    """Inverse of :func:`scale_matrices`: theta rows (n, M) from means (n, p)
+    and upper-triangular factors L (n, p, p)."""
+    n, p = means.shape
     rows, cols = triu_layout(p)
-    nus = upper[:, rows, cols].copy()
     diag = rows == cols
+    out = np.empty((n, param_count(p)))
+    out[:, :p] = means
+    nus = L[:, rows, cols]
     diag_vals = nus[:, diag] - DIAG_EPS
     if np.any(diag_vals <= 0):
         raise InvalidParameterError(
             "covariance too large to represent: triangular diagonal below eps"
         )
     nus[:, diag] = np.log(diag_vals)
-    return nus
+    out[:, p:] = nus
+    return out
 
 
 def fit_theta_from_moments_batch(means, covs) -> np.ndarray:
     """Batched inverse moment map; means (n, p), covs (n, p, p) -> (n, M)."""
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
-    n, p = means.shape
-    out = np.empty((n, param_count(p)))
-    out[:, :p] = means
-    out[:, p:] = _nu_from_covariance(covs, p)
-    return out
+    return thetas_from_scale_matrices(means, _precision_factors(covs, means.shape[1]))
 
 
 def marginal_mle(Y) -> ThetaVector:
@@ -432,36 +417,6 @@ def kl_divergence_batch(thetas_true, thetas_pred, p) -> np.ndarray:
     return 0.5 * (trace_term + quad_term - p + log_det_ratio)
 
 
-# ---------------------------------------------------------------------------
-# univariate Gaussian family (mu, log sigma)
-# ---------------------------------------------------------------------------
-
-
-def uv_nll(theta2, y):
-    mu, log_sigma = np.asarray(theta2, dtype=float).T
-    z = np.asarray(y, dtype=float) - mu
-    return 0.5 * _LOG_2PI + log_sigma + 0.5 * z * z * np.exp(-2.0 * log_sigma)
-
-
-def uv_score(theta2, y):
-    """Gradient of uv_nll in (mu, log sigma): ((mu - y)/sigma^2, 1 - z^2/sigma^2)."""
-    theta2 = np.atleast_2d(np.asarray(theta2, dtype=float))
-    mu, log_sigma = theta2.T
-    z = np.asarray(y, dtype=float) - mu
-    inv_var = np.exp(-2.0 * log_sigma)
-    return np.stack([-z * inv_var, 1.0 - z * z * inv_var], axis=-1)
-
-
-def uv_fisher(theta2):
-    """Fisher information diag(1/sigma^2, 2) per row."""
-    theta2 = np.atleast_2d(np.asarray(theta2, dtype=float))
-    inv_var = np.exp(-2.0 * theta2[:, 1])
-    out = np.zeros((theta2.shape[0], 2, 2))
-    out[:, 0, 0] = inv_var
-    out[:, 1, 1] = 2.0
-    return out
-
-
 def _as_rng(rng_seed):
     if isinstance(rng_seed, np.random.Generator):
         return rng_seed
@@ -492,34 +447,3 @@ class MvnFamily:
 
     def natural_gradient(self, thetas, Ys):
         return natural_gradient_batch(thetas, Ys, self.p)
-
-
-class UnivariateFamily:
-    """Univariate Gaussian family (mu, log sigma) for one target column."""
-
-    p = 1
-    n_params = 2
-    tag = "univariate"
-
-    def marginal_init(self, Y):
-        y = np.asarray(Y, dtype=float).reshape(-1)
-        if y.size < 2:
-            raise InvalidParameterError("need at least 2 rows for a marginal fit")
-        var = y.var()
-        if var <= 0:
-            raise InvalidParameterError("degenerate targets: zero sample variance")
-        return np.array([y.mean(), 0.5 * np.log(var)])
-
-    def nll(self, thetas, Ys):
-        return uv_nll(np.atleast_2d(thetas), np.asarray(Ys, dtype=float).reshape(-1))
-
-    def score(self, thetas, Ys):
-        return uv_score(thetas, np.asarray(Ys, dtype=float).reshape(-1))
-
-    def natural_gradient(self, thetas, Ys):
-        grad = self.score(thetas, Ys)
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        out = np.empty_like(grad)
-        out[:, 0] = grad[:, 0] * np.exp(2.0 * thetas[:, 1])
-        out[:, 1] = 0.5 * grad[:, 1]
-        return out

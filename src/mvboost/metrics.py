@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincinv
 
 from .distributions import (
     ThetaVector,
@@ -67,34 +67,12 @@ def chi2_cdf(x, dof) -> float:
 
 
 def chi2_quantile(p_dof: int, alpha: float) -> float:
-    """Inverse chi-square CDF by bisection with a Newton polish, abs tol 1e-10."""
+    """Inverse chi-square CDF, 2 * P^{-1}(p/2, alpha) by the inverse incomplete gamma."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if p_dof < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    lo, hi = 0.0, float(p_dof)
-    while chi2_cdf(hi, p_dof) < alpha:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chi2_cdf(mid, p_dof) < alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10:
-            break
-    x = 0.5 * (lo + hi)
-    half = p_dof / 2.0
-    log_norm = half * math.log(2.0) + math.lgamma(half)
-    for _ in range(10):
-        pdf = math.exp((half - 1.0) * math.log(x) - x / 2.0 - log_norm)
-        if pdf <= 0.0:
-            break
-        step = (chi2_cdf(x, p_dof) - alpha) / pdf
-        x -= step
-        if abs(step) < 1e-12:
-            break
-    return x
+    return 2.0 * float(gammaincinv(p_dof / 2.0, alpha))
 
 
 def mahalanobis_sq(thetas, Ys, p) -> np.ndarray:

@@ -9,10 +9,12 @@ supports is an error.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
 from .boosting import BoostConfig, BoostModel, IndependentModel, Stage
+from .distributions import param_count
 from .trees import TreeParams, tree_from_dict, tree_to_dict
 
 FORMAT_VERSION = 1
@@ -65,14 +67,23 @@ def _boost_model_to_dict(model: BoostModel) -> dict:
 
 
 def _boost_model_from_dict(data: dict) -> BoostModel:
+    theta0 = np.asarray(data["theta0"], dtype=float)
+    # MVN is the only family; a file of any other, such as the old
+    # "univariate" (mu, log sigma) one, would be misread as (mu, nu).
+    tag = data.get("family")
+    match = re.fullmatch(r"mvn-([1-9][0-9]*)", tag) if isinstance(tag, str) else None
+    if match is None or theta0.shape != (param_count(int(match.group(1))),):
+        raise ModelFormatError(
+            f"unsupported model family {tag!r} with {theta0.size} parameters"
+        )
     return BoostModel(
-        theta0=np.asarray(data["theta0"], dtype=float),
+        theta0=theta0,
         stages=tuple(
             Stage(rho=s["rho"], trees=tuple(tree_from_dict(t) for t in s["trees"]))
             for s in data["stages"]
         ),
         config=_config_from_dict(data["config"]),
-        family_tag=data["family"],
+        family_tag=tag,
         best_stage=data["best_stage"],
         n_features=data["n_features"],
         train_nll_path=tuple(data.get("train_nll_path", ())),
@@ -115,6 +126,8 @@ def model_from_dict(doc: dict):
         model = IndependentModel(
             models=tuple(_boost_model_from_dict(m) for m in doc["models"])
         )
+        if any(m.family_tag != "mvn-1" for m in model.models):
+            raise ModelFormatError("independent sub-models must be of family 'mvn-1'")
     elif kind == "joint":
         model = _boost_model_from_dict(doc["model"])
     else:

@@ -12,7 +12,6 @@ from mvboost.boosting import (
 )
 from mvboost.distributions import (
     MvnFamily,
-    UnivariateFamily,
     nll_batch,
     param_count,
     scale_matrices,
@@ -184,9 +183,9 @@ class TestIndependent:
         model = fit_independent(X, Y, config=BoostConfig(n_stages_max=10))
         joint = model.predict_theta(X)
         L = scale_matrices(joint, 2)
-        uv0 = predict_theta(model.models[0], X)
-        # a_11 = 1/sigma_1 after the diagonal perturbation is added back
-        assert np.allclose(L[:, 0, 0], np.exp(-uv0[:, 1]))
+        for j, sub in enumerate(model.models):
+            L_sub = scale_matrices(predict_theta(sub, X), 1)
+            assert np.array_equal(L[:, j, j], L_sub[:, 0, 0])
 
     def test_joint_beats_independent_on_correlated_data(self):
         X, Y = small_dataset(n=500, seed=8)
@@ -202,7 +201,8 @@ class TestIndependent:
     def test_univariate_family_used(self):
         X, Y = small_dataset(n=60)
         model = fit_independent(X, Y, config=BoostConfig(n_stages_max=2))
-        assert all(m.family_tag == UnivariateFamily().tag for m in model.models)
+        assert [m.family_tag for m in model.models] == ["mvn-1", "mvn-1"]
+        assert all(m.n_params == 2 for m in model.models)
 
 
 class TestConfigValidation:

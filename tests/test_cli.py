@@ -124,6 +124,50 @@ class TestTrainPredict:
         # diagonal model: off-diagonal scale entry is exactly zero
         assert all(float(r[header.index("nu12")]) == 0.0 for r in rows)
 
+    def test_deleted_univariate_family_rejected(self, runner, tmp_path):
+        # files saved with the removed (mu, log sigma) family must not be read
+        # as (mu, nu); the sub-models now carry the "mvn-1" tag
+        data, _ = simulate(runner, tmp_path / "d.csv")
+        model = train(runner, data, tmp_path / "m.json", extra=["--independent"])
+        doc = json.loads(model.read_text())
+        assert [m["family"] for m in doc["models"]] == ["mvn-1", "mvn-1"]
+        for sub in doc["models"]:
+            sub["family"] = "univariate"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["predict", "--model", str(bad), "--data", str(data),
+                   "--out", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == 3
+        assert "univariate" in result.output
+
+    def test_family_theta_length_mismatch_rejected(self, runner, tmp_path):
+        data, _ = simulate(runner, tmp_path / "d.csv")
+        model = train(runner, data, tmp_path / "m.json")
+        doc = json.loads(model.read_text())
+        doc["model"]["family"] = "mvn-3"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["predict", "--model", str(bad), "--data", str(data),
+                   "--out", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == 3
+
+    def test_predict_without_feature_names_is_data_error(self, runner, tmp_path):
+        data, _ = simulate(runner, tmp_path / "d.csv")
+        model = train(runner, data, tmp_path / "m.json")
+        doc = json.loads(model.read_text())
+        doc["feature_names"] = None
+        model.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["predict", "--model", str(model), "--data", str(data),
+                   "--out", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == 3
+        assert "feature_names" in result.output
+
     def test_scaled_training_round_trip(self, runner, tmp_path):
         data, _ = simulate(runner, tmp_path / "d.csv")
         plain = train(runner, data, tmp_path / "m0.json")
@@ -185,6 +229,16 @@ class TestEvaluate:
                    "--truth", str(short_truth)]
         )
         assert result.exit_code == 3
+
+    def test_without_feature_names_is_data_error(self, runner, tmp_path):
+        data, _ = simulate(runner, tmp_path / "d.csv")
+        model = train(runner, data, tmp_path / "m.json")
+        doc = json.loads(model.read_text())
+        doc["feature_names"] = None
+        model.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["evaluate", "--model", str(model), "--data", str(data)])
+        assert result.exit_code == 3
+        assert "feature_names" in result.output
 
 
 class TestErrors:

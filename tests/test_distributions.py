@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from mvboost import distributions as dist
 from mvboost.distributions import (
@@ -10,7 +11,6 @@ from mvboost.distributions import (
     InvalidParameterError,
     MvnFamily,
     ThetaVector,
-    UnivariateFamily,
 )
 
 LOG_2PI = np.log(2 * np.pi)
@@ -18,6 +18,17 @@ LOG_2PI = np.log(2 * np.pi)
 
 def random_theta(rng, p, scale=1.0):
     return ThetaVector(rng.normal(scale=scale, size=dist.param_count(p)), p)
+
+
+@st.composite
+def theta_and_y(draw, nu_low=-13.0, nu_high=3.0):
+    """One (p, theta row, y row) case with p in 1..6 and nu in [nu_low, nu_high]."""
+    p = draw(st.integers(1, 6))
+    m = dist.param_count(p)
+    mean = draw(st.lists(st.floats(-5.0, 5.0), min_size=p, max_size=p))
+    nu = draw(st.lists(st.floats(nu_low, nu_high), min_size=m - p, max_size=m - p))
+    y = draw(st.lists(st.floats(-5.0, 5.0), min_size=p, max_size=p))
+    return p, np.array([mean + nu]), np.array([y])
 
 
 def finite_diff_grad(theta, y, rel_step=1e-6):
@@ -218,6 +229,30 @@ class TestNaturalGradient:
         # score (-1, 0), Fisher diag(1, 2)
         assert np.allclose(g, [-1.0, 0.0], atol=1e-4)
 
+    @settings(max_examples=300, deadline=None)
+    @given(theta_and_y())
+    def test_closed_form_solves_fisher_system(self, case):
+        p, thetas, Ys = case
+        x = dist.natural_gradient_batch(thetas, Ys, p)[0]
+        assert np.array_equal(x[:p], thetas[0, :p] - Ys[0])
+        F = dist.fisher_batch(thetas, p)[0]
+        g = dist.score_batch(thetas, Ys, p)[0]
+        # |F| |x| bounds the rounding error of forming F x itself, which
+        # dominates when the diagonal of L spans many orders of magnitude
+        tol = 1e-9 * (np.abs(F) @ np.abs(x) + np.maximum(1.0, np.abs(g)))
+        assert np.all(np.abs(F @ x - g) <= tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta_and_y(nu_low=-2.0, nu_high=2.0))
+    def test_closed_form_matches_dense_solve(self, case):
+        p, thetas, Ys = case
+        x = dist.natural_gradient_batch(thetas, Ys, p)[0]
+        F = dist.fisher_batch(thetas, p)[0]
+        dense = np.linalg.solve(F, dist.score_batch(thetas, Ys, p)[0])
+        # the dense solve is itself only accurate to about cond(F) * eps
+        rel = max(1e-9, np.linalg.cond(F) * np.finfo(float).eps)
+        assert np.max(np.abs(x - dense)) <= rel * max(1.0, np.max(np.abs(dense)))
+
     def test_descent_direction(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -353,43 +388,41 @@ class TestKl:
 
 
 class TestUnivariate:
+    """The p = 1 Gaussian, which the independent baseline fits per column."""
+
     def test_nll_and_score_at_mode(self):
-        theta2 = np.array([0.0, 0.0])
-        assert dist.uv_nll(theta2, 0.0) == pytest.approx(0.5 * LOG_2PI, rel=1e-12)
-        assert np.allclose(dist.uv_score(theta2, 0.0), [[0.0, 1.0]])
+        theta = ThetaVector([0.0, 0.0], 1)
+        a = 1.0 + DIAG_EPS
+        assert dist.nll(theta, [0.0]) == pytest.approx(0.5 * LOG_2PI - np.log(a), rel=1e-12)
+        assert np.allclose(dist.score(theta, [0.0]), [0.0, -1.0 / a], rtol=0, atol=1e-15)
 
     def test_score_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            theta2 = rng.normal(size=2)
-            y = rng.normal()
-            g = dist.uv_score(theta2, y)[0]
-            h = 1e-6
-            for k in range(2):
-                e = np.zeros(2)
-                e[k] = h
-                fd = (dist.uv_nll(theta2 + e, y) - dist.uv_nll(theta2 - e, y)) / (2 * h)
-                assert g[k] == pytest.approx(fd, abs=1e-6)
+            theta = random_theta(rng, 1)
+            y = rng.normal(size=1)
+            fd = finite_diff_grad(theta, y)
+            assert np.allclose(dist.score(theta, y), fd, rtol=0, atol=1e-6)
 
     def test_fisher_monte_carlo(self):
         rng = np.random.default_rng(18)
-        theta2 = np.array([0.3, -0.4])
-        y = theta2[0] + np.exp(theta2[1]) * rng.standard_normal(200_000)
-        scores = dist.uv_score(np.tile(theta2, (len(y), 1)), y)
+        theta = ThetaVector([0.3, 0.4], 1)
+        y = dist.sample(theta, 200_000, rng)
+        scores = dist.score_batch(np.tile(theta.values, (len(y), 1)), y, 1)
         mc = np.cov(scores.T)
-        F = dist.uv_fisher(theta2)[0]
+        F = dist.fisher_information(theta)
         assert np.allclose(F, mc, atol=0.05)
-        assert F[0, 0] == pytest.approx(np.exp(-2 * theta2[1]))
-        assert F[1, 1] == 2.0
+        a = np.exp(0.4) + DIAG_EPS
+        assert F[0, 0] == pytest.approx(a * a)
+        assert F[1, 1] == pytest.approx(2.0 * np.exp(0.8) / (a * a))
 
     def test_consistent_with_p1_mvn(self):
-        rng = np.random.default_rng(19)
-        mu, log_sigma = 0.7, -0.3
+        # the p = 1 density is the normal with sigma = 1 / a_11
+        mu, nu = 0.7, 0.3
         y = np.array([1.2])
-        # nu_11 = -log sigma gives a_11 ~= 1/sigma
-        theta_mvn = ThetaVector([mu, -log_sigma], 1)
-        assert dist.nll(theta_mvn, y) == pytest.approx(
-            float(dist.uv_nll(np.array([mu, log_sigma]), y[0])), abs=1e-5
+        sigma = 1.0 / (np.exp(nu) + DIAG_EPS)
+        assert dist.nll(ThetaVector([mu, nu], 1), y) == pytest.approx(
+            -stats.norm.logpdf(y[0], mu, sigma), rel=1e-12
         )
 
 
@@ -404,19 +437,21 @@ class TestFamilies:
         assert fam.natural_gradient(thetas, Ys).shape == (7, 5)
 
     def test_univariate_family_natural_gradient(self):
-        fam = UnivariateFamily()
+        # at p = 1 the Fisher is diagonal, so the natural gradient is score / F_kk
+        fam = MvnFamily(1)
         thetas = np.array([[0.0, 0.5]])
-        ys = np.array([2.0])
+        ys = np.array([[2.0]])
         g = fam.score(thetas, ys)[0]
+        F = dist.fisher_batch(thetas, 1)[0]
         ng = fam.natural_gradient(thetas, ys)[0]
-        assert ng[0] == pytest.approx(g[0] * np.exp(1.0))
-        assert ng[1] == pytest.approx(g[1] / 2)
+        assert ng[0] == pytest.approx(g[0] / F[0, 0], rel=1e-12)
+        assert ng[1] == pytest.approx(g[1] / F[1, 1], rel=1e-12)
 
     def test_univariate_marginal_init(self):
         rng = np.random.default_rng(21)
-        y = 3.0 + 2.0 * rng.standard_normal(500)
-        theta = UnivariateFamily().marginal_init(y)
+        y = 3.0 + 2.0 * rng.standard_normal((500, 1))
+        theta = MvnFamily(1).marginal_init(y)
         assert theta[0] == pytest.approx(y.mean())
-        assert np.exp(theta[1]) == pytest.approx(y.std(), rel=1e-10)
+        assert 1.0 / (np.exp(theta[1]) + DIAG_EPS) == pytest.approx(y.std(), rel=1e-10)
         with pytest.raises(InvalidParameterError):
-            UnivariateFamily().marginal_init(np.ones(5))
+            MvnFamily(1).marginal_init(np.ones((5, 1)))
