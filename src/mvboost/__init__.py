@@ -28,6 +28,6 @@ from .distributions import (
 )
 from .metrics import MetricsReport, chi2_quantile, evaluate, pr_area, pr_covered
 from .simulation import ExperimentPlan, generate, run_experiment, true_params
-from .trees import HAVE_COMPILED_KERNEL, RegressionTree, TreeParams, fit_tree, predict_tree
+from .trees import RegressionTree, TreeParams, fit_tree, predict_tree
 
 __version__ = "0.1.0"

@@ -44,7 +44,6 @@ class BoostConfig:
     patience: int = 50
     natural_gradient: bool = True
     tree_params: TreeParams = field(default_factory=TreeParams)
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.n_stages_max < 1:
@@ -132,6 +131,7 @@ def fit(X_train, Y_train, X_val=None, Y_val=None, config: BoostConfig | None = N
         if Y_val.ndim == 1:
             Y_val = Y_val[:, None]
 
+    order = np.argsort(X_train, axis=0, kind="stable")  # shared by every tree
     theta0 = family.marginal_init(Y_train)
     thetas = np.tile(theta0, (X_train.shape[0], 1))
     train_path = [float(np.mean(family.nll(thetas, Y_train)))]
@@ -155,7 +155,7 @@ def fit(X_train, Y_train, X_val=None, Y_val=None, config: BoostConfig | None = N
             raise NonFiniteGradientError(b, int(np.argmin(finite_rows)))
 
         trees = tuple(
-            fit_tree(X_train, grads[:, m], config.tree_params)
+            fit_tree(X_train, grads[:, m], config.tree_params, order=order)
             for m in range(family.n_params)
         )
         f_train = _stage_predictions(trees, X_train)

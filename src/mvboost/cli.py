@@ -25,7 +25,7 @@ from .distributions import (
     triu_layout,
 )
 from .model_io import ModelFormatError, load_model, save_model
-from .trees import HAVE_COMPILED_KERNEL, TreeParams
+from .trees import TreeParams
 
 EXIT_DATA_ERROR = 3
 EXIT_NUMERIC_ERROR = 4
@@ -89,12 +89,16 @@ def _truth_path(out):
 
 def _config_options(func):
     options = [
-        click.option("--stages", type=int, default=1000, show_default=True,
-                     help="Maximum boosting stages."),
-        click.option("--learning-rate", type=float, default=0.01, show_default=True),
-        click.option("--patience", type=int, default=50, show_default=True),
-        click.option("--max-depth", type=int, default=3, show_default=True),
-        click.option("--min-samples-leaf", type=int, default=1, show_default=True),
+        click.option("--stages", type=click.IntRange(min=1), default=1000,
+                     show_default=True, help="Maximum boosting stages."),
+        click.option("--learning-rate", type=click.FloatRange(0.0, 1.0, min_open=True),
+                     default=0.01, show_default=True),
+        click.option("--patience", type=click.IntRange(min=0), default=50,
+                     show_default=True),
+        click.option("--max-depth", type=click.IntRange(min=1), default=3,
+                     show_default=True),
+        click.option("--min-samples-leaf", type=click.IntRange(min=1), default=1,
+                     show_default=True),
         click.option("--seed", type=int, default=0, show_default=True),
     ]
     for opt in reversed(options):
@@ -102,7 +106,7 @@ def _config_options(func):
     return func
 
 
-def _build_config(stages, learning_rate, patience, max_depth, min_samples_leaf, seed,
+def _build_config(stages, learning_rate, patience, max_depth, min_samples_leaf,
                   natural_gradient=True):
     return boosting.BoostConfig(
         n_stages_max=stages,
@@ -110,7 +114,6 @@ def _build_config(stages, learning_rate, patience, max_depth, min_samples_leaf, 
         patience=patience,
         natural_gradient=natural_gradient,
         tree_params=TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf),
-        rng_seed=seed,
     )
 
 
@@ -183,7 +186,7 @@ def cmd_train(data_path, targets, features, val_file, val_frac, independent,
         scaling["y"] = sy.to_dict()
 
     config = _build_config(stages, learning_rate, patience, max_depth,
-                           min_samples_leaf, seed, natural_gradient=not plain_gradient)
+                           min_samples_leaf, natural_gradient=not plain_gradient)
     if independent:
         model = boosting.fit_independent(X, Y, X_val, Y_val, config)
         paths = [(m.train_nll_path, m.val_nll_path) for m in model.models]
@@ -260,9 +263,8 @@ def cmd_predict(model_path, data_path, out, force):
     columns = [f"mu{i + 1}" for i in range(p)]
     columns += [f"nu{i + 1}{j + 1}" for i, j in zip(rows_idx, cols_idx)]
     columns += [f"sigma{i + 1}{j + 1}" for i, j in zip(rows_idx, cols_idx)]
-    L = scale_matrices(thetas, p)
-    prec = np.einsum("nki,nkj->nij", L, L)
-    sigma = np.linalg.inv(prec)
+    L_inv = np.linalg.inv(scale_matrices(thetas, p))
+    sigma = np.einsum("nik,njk->nij", L_inv, L_inv)
     values = np.concatenate(
         [thetas, sigma[:, rows_idx, cols_idx]], axis=1
     )
@@ -371,7 +373,7 @@ def cmd_benchmark(n_grid, reps, methods, variant, full_table1, threads, stages,
         variant=variant,
         master_seed=seed,
         config=_build_config(stages, learning_rate, patience, max_depth,
-                             min_samples_leaf, seed),
+                             min_samples_leaf),
     )
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "results.csv")
@@ -396,13 +398,6 @@ def _echo_aggregate_table(aggregates):
                 f"{match[0]['mean']:.3f}±{match[0]['stderr']:.3f}" if match else "-"
             )
         click.echo(f"{n:>5}  " + "".join(f"{c:>22}" for c in cells))
-
-
-@main.command("info")
-def cmd_info():
-    """Print which split-search kernel is active."""
-    kind = "compiled (Cython)" if HAVE_COMPILED_KERNEL else "pure Python (numpy)"
-    click.echo(f"split-search kernel: {kind}")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ def _config_to_dict(config: BoostConfig) -> dict:
             "min_samples_leaf": config.tree_params.min_samples_leaf,
             "min_samples_split": config.tree_params.min_samples_split,
         },
-        "rng_seed": config.rng_seed,
     }
 
 
@@ -46,7 +45,6 @@ def _config_from_dict(data: dict) -> BoostConfig:
         patience=data["patience"],
         natural_gradient=data["natural_gradient"],
         tree_params=TreeParams(**data["tree_params"]),
-        rng_seed=data["rng_seed"],
     )
 
 
@@ -67,28 +65,57 @@ def _boost_model_to_dict(model: BoostModel) -> dict:
 
 
 def _boost_model_from_dict(data: dict) -> BoostModel:
-    theta0 = np.asarray(data["theta0"], dtype=float)
+    try:
+        model = BoostModel(
+            theta0=np.asarray(data["theta0"], dtype=float),
+            stages=tuple(
+                Stage(rho=float(s["rho"]), trees=tuple(tree_from_dict(t) for t in s["trees"]))
+                for s in data["stages"]
+            ),
+            config=_config_from_dict(data["config"]),
+            family_tag=data["family"],
+            best_stage=_integer(data, "best_stage"),
+            n_features=_integer(data, "n_features"),
+            train_nll_path=tuple(data.get("train_nll_path", ())),
+            val_nll_path=tuple(data.get("val_nll_path", ())),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed model record: {type(exc).__name__}: {exc}") from exc
+    _check_boost_model(model)
+    return model
+
+
+def _integer(data, key):
+    value = data[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _check_boost_model(model: BoostModel):
+    """Refuse a parsed model whose parts do not fit together."""
     # MVN is the only family; a file of any other, such as the old
     # "univariate" (mu, log sigma) one, would be misread as (mu, nu).
-    tag = data.get("family")
+    tag = model.family_tag
     match = re.fullmatch(r"mvn-([1-9][0-9]*)", tag) if isinstance(tag, str) else None
-    if match is None or theta0.shape != (param_count(int(match.group(1))),):
+    if match is None or model.theta0.shape != (param_count(int(match.group(1))),):
         raise ModelFormatError(
-            f"unsupported model family {tag!r} with {theta0.size} parameters"
+            f"unsupported model family {tag!r} with {model.theta0.size} parameters"
         )
-    return BoostModel(
-        theta0=theta0,
-        stages=tuple(
-            Stage(rho=s["rho"], trees=tuple(tree_from_dict(t) for t in s["trees"]))
-            for s in data["stages"]
-        ),
-        config=_config_from_dict(data["config"]),
-        family_tag=tag,
-        best_stage=data["best_stage"],
-        n_features=data["n_features"],
-        train_nll_path=tuple(data.get("train_nll_path", ())),
-        val_nll_path=tuple(data.get("val_nll_path", ())),
-    )
+    if not 0 <= model.best_stage <= len(model.stages):
+        raise ModelFormatError(
+            f"best_stage {model.best_stage} is outside 0..{len(model.stages)}"
+        )
+    for b, stage in enumerate(model.stages, start=1):
+        if len(stage.trees) != model.n_params:
+            raise ModelFormatError(
+                f"stage {b} has {len(stage.trees)} trees, family {tag} needs {model.n_params}"
+            )
+        # tree_from_dict has checked every split against its tree's n_features
+        if any(tree.n_features != model.n_features for tree in stage.trees):
+            raise ModelFormatError(
+                f"stage {b} has a tree for other than {model.n_features} features"
+            )
 
 
 def model_to_dict(model, feature_names=None, target_names=None, metadata=None,
@@ -114,6 +141,8 @@ def model_to_dict(model, feature_names=None, target_names=None, metadata=None,
 
 def model_from_dict(doc: dict):
     """Inverse of :func:`model_to_dict`; returns (model, doc)."""
+    if not isinstance(doc, dict):
+        raise ModelFormatError("a model file holds one JSON object")
     version = doc.get("format_version")
     if not isinstance(version, int) or version < 1:
         raise ModelFormatError("missing or invalid format_version")
@@ -123,13 +152,15 @@ def model_from_dict(doc: dict):
         )
     kind = doc.get("kind")
     if kind == "univariate-set":
+        if not isinstance(doc.get("models"), list) or not doc["models"]:
+            raise ModelFormatError("an independent model file needs a list of models")
         model = IndependentModel(
             models=tuple(_boost_model_from_dict(m) for m in doc["models"])
         )
         if any(m.family_tag != "mvn-1" for m in model.models):
             raise ModelFormatError("independent sub-models must be of family 'mvn-1'")
     elif kind == "joint":
-        model = _boost_model_from_dict(doc["model"])
+        model = _boost_model_from_dict(doc.get("model"))
     else:
         raise ModelFormatError(f"unknown model kind: {kind!r}")
     return model, doc

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -131,14 +131,7 @@ def _fit_and_predict(method, data_train, data_val, X_test, config):
         )
         return boosting.predict_theta(model, X_test)
     if method == "plain-gb":
-        cfg = boosting.BoostConfig(
-            n_stages_max=config.n_stages_max,
-            learning_rate=config.learning_rate,
-            patience=config.patience,
-            natural_gradient=False,
-            tree_params=config.tree_params,
-            rng_seed=config.rng_seed,
-        )
+        cfg = replace(config, natural_gradient=False)
         model = boosting.fit(
             data_train.X, data_train.Y, data_val.X, data_val.Y, cfg, family=MvnFamily(2)
         )

@@ -6,9 +6,13 @@ value equal to the threshold route left.  Ties between candidate splits break
 to the lowest feature index, then the lowest threshold, so fits are fully
 reproducible.  There is no feature or row subsampling.
 
-The per-feature scan over sorted targets is the hot inner loop of the whole
-package; it runs in a compiled Cython kernel when available, with a numpy
-fallback selected at import time.
+Split search is the presorted exact-greedy scan of XGBoost (Chen & Guestrin
+2016): each feature column is sorted once, and every node carries its rows in
+each feature's sorted order.  A node scans all features in one pass of
+cumulative target sums, and its children inherit the sorted order by a stable
+partition, so no node sorts again.  The boosting loop grows many trees on the
+same X; it sorts once per fit and passes that order to every
+:func:`fit_tree` call.
 """
 
 from __future__ import annotations
@@ -16,15 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from . import _splitcore as _kernel
-
-    HAVE_COMPILED_KERNEL = True
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _splitcore_py as _kernel
-
-    HAVE_COMPILED_KERNEL = False
 
 # Relative slack below which an SSE improvement counts as zero and growth stops.
 _GAIN_TOL = 1e-12
@@ -73,57 +68,88 @@ def _node_sse(ys):
     return float(np.sum((ys - mean) ** 2))
 
 
-def _best_split(X, ys, min_leaf):
-    """Best (feature, threshold, sse_children) over all features, or None."""
-    best = None
-    for feat in range(X.shape[1]):
-        col = X[:, feat]
-        order = np.argsort(col, kind="stable")
-        xs = np.ascontiguousarray(col[order])
-        ys_sorted = np.ascontiguousarray(ys[order])
-        found = _kernel.best_split_sorted(xs, ys_sorted, min_leaf)
-        if found is None:
-            continue
-        pos, sse = found
-        if best is None or sse < best[2]:
-            threshold = 0.5 * (xs[pos - 1] + xs[pos])
-            best = (feat, float(threshold), sse)
-    return best
+def _best_split(XT, ys, order, min_leaf):
+    """Best (feature, threshold, sse_children) over all features, or None.
+
+    ``XT`` is the (d, N) transposed feature matrix and ``ys`` the N targets;
+    row k of ``order`` holds the node's row indices sorted by feature k.
+    Column j of the scan routes the first j + 1 rows of an order left.
+    """
+    n = order.shape[1]
+    xs = np.take_along_axis(XT, order, axis=1)
+    ys_sorted = ys[order]
+    c1 = np.cumsum(ys_sorted, axis=1)
+    c2 = np.cumsum(ys_sorted * ys_sorted, axis=1)
+    tot1 = c1[:, -1:]
+    tot2 = c2[:, -1:]
+    c1, c2 = c1[:, :-1], c2[:, :-1]
+    sizes = np.arange(1, n, dtype=float)
+    left = c2 - c1 * c1 / sizes
+    right = (tot2 - c2) - (tot1 - c1) * (tot1 - c1) / (n - sizes)
+    valid = xs[:, 1:] != xs[:, :-1]
+    if min_leaf > 1:
+        valid &= (sizes >= min_leaf) & (n - sizes >= min_leaf)
+    sse = left + right
+    sse[~valid] = np.inf
+    # argmin takes the first minimum: the lowest threshold of each feature,
+    # then the lowest feature index.
+    pos = np.argmin(sse, axis=1)
+    feat = int(np.argmin(sse[np.arange(sse.shape[0]), pos]))
+    pos = int(pos[feat])
+    if not np.isfinite(sse[feat, pos]):
+        return None
+    threshold = 0.5 * (xs[feat, pos] + xs[feat, pos + 1])
+    return feat, float(threshold), float(sse[feat, pos])
 
 
-def _grow(X, ys, params, depth):
-    n = ys.shape[0]
+def _grow(XT, ys, rows, order, goes_left, params, depth):
+    """Grow the subtree of the node holding ``rows`` (ascending).
+
+    ``order`` is the node's (d, n_node) per-feature sorted order of the same
+    rows; ``goes_left`` is an N-long scratch mask shared by the whole tree.
+    """
+    node_ys = ys[rows]
+    n = node_ys.shape[0]
     if (
         depth >= params.max_depth
         or n < params.min_samples_split
         or n < 2 * params.min_samples_leaf
     ):
-        return Leaf(float(ys.mean()))
-    parent_sse = _node_sse(ys)
-    if parent_sse <= _GAIN_TOL * max(1.0, float(np.sum(ys * ys))):
-        return Leaf(float(ys.mean()))
-    best = _best_split(X, ys, params.min_samples_leaf)
+        return Leaf(float(node_ys.mean()))
+    parent_sse = _node_sse(node_ys)
+    if parent_sse <= _GAIN_TOL * max(1.0, float(np.sum(node_ys * node_ys))):
+        return Leaf(float(node_ys.mean()))
+    best = _best_split(XT, ys, order, params.min_samples_leaf)
     if best is None:
-        return Leaf(float(ys.mean()))
+        return Leaf(float(node_ys.mean()))
     feat, threshold, sse_children = best
     if parent_sse - sse_children <= _GAIN_TOL * max(1.0, parent_sse):
-        return Leaf(float(ys.mean()))
-    mask = X[:, feat] <= threshold
+        return Leaf(float(node_ys.mean()))
+    mask = XT[feat, rows] <= threshold
     if not mask.any() or mask.all():  # midpoint rounded onto a data value
-        return Leaf(float(ys.mean()))
+        return Leaf(float(node_ys.mean()))
+    # A stable partition keeps every row of the order sorted by its feature.
+    # np.compress is the same selection as boolean indexing, several times
+    # faster on the unpredictable masks of a split.
+    goes_left[rows] = mask
+    in_left = goes_left[order].ravel()
+    d = order.shape[0]
+    order_left = np.compress(in_left, order).reshape(d, -1)
+    order_right = np.compress(~in_left, order).reshape(d, -1)
     return Split(
         feature_index=feat,
         threshold=threshold,
-        left=_grow(X[mask], ys[mask], params, depth + 1),
-        right=_grow(X[~mask], ys[~mask], params, depth + 1),
+        left=_grow(XT, ys, rows[mask], order_left, goes_left, params, depth + 1),
+        right=_grow(XT, ys, rows[~mask], order_right, goes_left, params, depth + 1),
     )
 
 
-def fit_tree(X, targets, params: TreeParams | None = None, rng_seed=None) -> RegressionTree:
+def fit_tree(X, targets, params: TreeParams | None = None, order=None) -> RegressionTree:
     """Fit one scalar-output regression tree by greedy SSE minimization.
 
-    ``rng_seed`` is accepted for interface uniformity; growth is fully
-    deterministic (no subsampling), so it is unused.
+    ``order`` must equal ``np.argsort(X, axis=0, kind="stable")``; it is
+    computed when not given.  Callers that fit many trees on one X pass it
+    so that X is sorted once.
     """
     params = params or TreeParams()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -134,7 +160,15 @@ def fit_tree(X, targets, params: TreeParams | None = None, rng_seed=None) -> Reg
         raise ValueError(f"row mismatch: X has {X.shape[0]}, targets {ys.shape[0]}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(ys))):
         raise ValueError("fit_tree inputs must be finite")
-    return RegressionTree(root=_grow(X, ys, params, 0), n_features=X.shape[1])
+    if order is None:
+        order = np.argsort(X, axis=0, kind="stable")
+    elif np.shape(order) != X.shape:
+        raise ValueError(f"order has shape {np.shape(order)}, X has {X.shape}")
+    n = X.shape[0]
+    XT = np.ascontiguousarray(X.T)
+    order_t = np.ascontiguousarray(np.transpose(order))
+    root = _grow(XT, ys, np.arange(n), order_t, np.zeros(n, dtype=bool), params, 0)
+    return RegressionTree(root=root, n_features=X.shape[1])
 
 
 def predict_tree(tree: RegressionTree, x) -> float:
@@ -180,15 +214,21 @@ def _node_to_dict(node):
 
 
 def tree_from_dict(data: dict) -> RegressionTree:
-    return RegressionTree(root=_node_from_dict(data["root"]), n_features=data["n_features"])
+    """Inverse of :func:`tree_to_dict`; a split on a feature the tree does not
+    have raises ValueError."""
+    n_features = data["n_features"]
+    return RegressionTree(root=_node_from_dict(data["root"], n_features), n_features=n_features)
 
 
-def _node_from_dict(data):
+def _node_from_dict(data, n_features):
     if "leaf" in data:
         return Leaf(float(data["leaf"]))
+    feature = int(data["feature"])
+    if not 0 <= feature < n_features:
+        raise ValueError(f"split on feature {feature} of a {n_features}-feature tree")
     return Split(
-        feature_index=int(data["feature"]),
+        feature_index=feature,
         threshold=float(data["threshold"]),
-        left=_node_from_dict(data["left"]),
-        right=_node_from_dict(data["right"]),
+        left=_node_from_dict(data["left"], n_features),
+        right=_node_from_dict(data["right"], n_features),
     )

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mvboost.boosting import BoostConfig, BoostModel
 from mvboost.cli import main
+from mvboost.distributions import ThetaVector, to_moment_form
+from mvboost.model_io import save_model
 
 
 @pytest.fixture
@@ -155,6 +158,67 @@ class TestTrainPredict:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda m: m.pop("theta0"), "theta0"),
+        (lambda m: m["stages"][0]["trees"][0].__setitem__("root", {
+            "feature": 7, "threshold": 0.5, "left": {"leaf": 0.0}, "right": {"leaf": 1.0}}),
+         "feature 7"),
+        (lambda m: m.update(best_stage=99), "best_stage"),
+        (lambda m: m["stages"][0]["trees"].pop(), "trees"),
+        (lambda m: m.update(best_stage="3"), "best_stage"),
+    ])
+    def test_malformed_model_is_data_error(self, runner, tmp_path, mutate, message):
+        data, _ = simulate(runner, tmp_path / "d.csv")
+        model = train(runner, data, tmp_path / "m.json")
+        doc = json.loads(model.read_text())
+        mutate(doc["model"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["predict", "--model", str(bad), "--data", str(data),
+                   "--out", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == 3, result.output
+        assert message in result.output
+
+    def test_old_file_with_rng_seed_predicts_the_same(self, runner, tmp_path):
+        data, _ = simulate(runner, tmp_path / "d.csv")
+        model = train(runner, data, tmp_path / "m.json")
+        doc = json.loads(model.read_text())
+        assert "rng_seed" not in doc["model"]["config"]
+        doc["model"]["config"]["rng_seed"] = 5
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        outs = []
+        for path in (model, old):
+            out = tmp_path / f"p_{path.stem}.csv"
+            result = runner.invoke(
+                main, ["predict", "--model", str(path), "--data", str(data), "--out", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_predicted_sigma_matches_moment_form(self, runner, tmp_path):
+        # a large dynamic range in L, where inverting L^T L loses digits
+        theta0 = np.array([0, 0, 0, 2.5, 2.1, -2.3, -7.0, 4.4, -6.0])
+        model = BoostModel(theta0=theta0, stages=(), config=BoostConfig(),
+                           family_tag="mvn-3", best_stage=0, n_features=1)
+        path = tmp_path / "m.json"
+        save_model(model, path, feature_names=["x"], target_names=["y1", "y2", "y3"])
+        data = tmp_path / "d.csv"
+        data.write_text("x\n0.0\n1.0\n")
+        out = tmp_path / "p.csv"
+        result = runner.invoke(
+            main, ["predict", "--model", str(path), "--data", str(data), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        header, rows = read_csv(out)
+        expected = to_moment_form(ThetaVector(theta0, 3)).covariance
+        for i, j in zip(*np.triu_indices(3)):
+            got = np.array([float(r[header.index(f"sigma{i + 1}{j + 1}")]) for r in rows])
+            np.testing.assert_allclose(got, expected[i, j], rtol=1e-12)
+
     def test_predict_without_feature_names_is_data_error(self, runner, tmp_path):
         data, _ = simulate(runner, tmp_path / "d.csv")
         model = train(runner, data, tmp_path / "m.json")
@@ -273,6 +337,26 @@ class TestErrors:
         result = runner.invoke(main, ["train"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    @pytest.mark.parametrize("option", [
+        ("--stages", "0"),
+        ("--learning-rate", "2"),
+        ("--learning-rate", "0"),
+        ("--max-depth", "0"),
+        ("--patience", "-1"),
+        ("--min-samples-leaf", "0"),
+    ])
+    def test_out_of_range_config_option_is_usage_error(self, runner, tmp_path, command, option):
+        data, _ = simulate(runner, tmp_path / "d.csv", n=50)
+        args = {
+            "train": ["train", "--data", str(data), "--targets", "y1,y2"],
+            "benchmark": ["benchmark", "--n-grid", "50", "--reps", "1"],
+        }[command]
+        result = runner.invoke(main, [*args, *option, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value" in result.output
+        assert not (tmp_path / "out").exists()
+
 
 class TestBenchmark:
     def test_small_run_writes_tables(self, runner, tmp_path):
@@ -290,8 +374,3 @@ class TestBenchmark:
         agg_header, agg_rows = read_csv(out / "results_aggregate.csv")
         assert agg_header == ["N", "method", "metric", "mean", "stderr"]
         assert "mean test KL divergence" in result.output
-
-    def test_info_names_kernel(self, runner):
-        result = runner.invoke(main, ["info"])
-        assert result.exit_code == 0
-        assert "kernel" in result.output

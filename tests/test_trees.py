@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mvboost import trees
 from mvboost.trees import (
@@ -188,23 +191,89 @@ class TestPredict:
         assert np.array_equal(batch, rows)
 
 
-class TestKernelParity:
-    def test_fallback_matches_active_kernel(self):
-        from mvboost import _splitcore_py
+def reference_tree(X, ys, params, depth=0):
+    """The grower without presorting: every node sorts each feature afresh
+    and scans it with the same SSE formula and tie-breaks."""
+    n = ys.shape[0]
+    leaf = Leaf(float(ys.mean()))
+    if depth >= params.max_depth or n < max(params.min_samples_split, 2 * params.min_samples_leaf):
+        return leaf
+    parent_sse = float(np.sum((ys - ys.mean()) ** 2))
+    if parent_sse <= trees._GAIN_TOL * max(1.0, float(np.sum(ys * ys))):
+        return leaf
+    best = None
+    sizes = np.arange(1, n, dtype=float)
+    for feat in range(X.shape[1]):
+        order = np.argsort(X[:, feat], kind="stable")
+        xs, yo = X[order, feat], ys[order]
+        c1, c2 = np.cumsum(yo), np.cumsum(yo * yo)
+        sse = (c2[:-1] - c1[:-1] * c1[:-1] / sizes) + (
+            (c2[-1] - c2[:-1]) - (c1[-1] - c1[:-1]) * (c1[-1] - c1[:-1]) / (n - sizes)
+        )
+        valid = (xs[1:] != xs[:-1]) & (sizes >= params.min_samples_leaf) & (
+            n - sizes >= params.min_samples_leaf
+        )
+        if valid.any():
+            pos = int(np.argmin(np.where(valid, sse, np.inf)))
+            if best is None or sse[pos] < best[2]:
+                best = (feat, float(0.5 * (xs[pos] + xs[pos + 1])), sse[pos])
+    if best is None or parent_sse - best[2] <= trees._GAIN_TOL * max(1.0, parent_sse):
+        return leaf
+    mask = X[:, best[0]] <= best[1]
+    return Split(best[0], best[1], reference_tree(X[mask], ys[mask], params, depth + 1),
+                 reference_tree(X[~mask], ys[~mask], params, depth + 1))
 
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            n = int(rng.integers(2, 200))
-            xs = np.sort(np.round(rng.normal(size=n), 2))
-            ys = np.ascontiguousarray(rng.normal(size=n))
-            min_leaf = int(rng.integers(1, 4))
-            a = trees._kernel.best_split_sorted(xs, ys, min_leaf)
-            b = _splitcore_py.best_split_sorted(xs, ys, min_leaf)
-            if a is None or b is None:
-                assert a == b
-            else:
-                assert a[0] == b[0]
-                assert a[1] == pytest.approx(b[1], rel=1e-12, abs=1e-12)
+
+@st.composite
+def tie_heavy_problems(draw):
+    n = draw(st.integers(2, 80))
+    d = draw(st.integers(1, 4))
+    X = draw(arrays(float, (n, d), elements=st.integers(-15, 15).map(lambda v: v / 10)))
+    ys = draw(arrays(float, n, elements=st.floats(-10, 10, allow_nan=False)))
+    params = TreeParams(max_depth=draw(st.integers(1, 4)),
+                        min_samples_leaf=draw(st.integers(1, 5)))
+    return X, ys, params
+
+
+class TestPresortedGrower:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_problems())
+    def test_every_split_matches_exhaustive_search(self, problem):
+        X, ys, params = problem
+        tree = fit_tree(X, ys, params)
+
+        def check(node, rows, depth):
+            sub_X, sub_ys = X[rows], ys[rows]
+            parent_sse = float(np.sum((sub_ys - sub_ys.mean()) ** 2))
+            oracle = exhaustive_best_split(sub_X, sub_ys, params.min_samples_leaf)
+            if isinstance(node, Leaf):
+                # greedy declined with room left: no split improves the node
+                if oracle is not None and depth < params.max_depth:
+                    slack = 1e-9 * max(1.0, float(np.sum(sub_ys * sub_ys)))
+                    assert oracle[2] >= parent_sse - slack
+                return
+            mask = X[:, node.feature_index] <= node.threshold
+            left, right = rows & mask, rows & ~mask
+            children = sum(float(np.sum((ys[r] - ys[r].mean()) ** 2)) for r in (left, right))
+            # relative to the node's SSE, the scale the cumulative sums round at
+            assert abs(children - oracle[2]) <= 1e-9 * max(oracle[2], parent_sse)
+            check(node.left, left, depth + 1)
+            check(node.right, right, depth + 1)
+
+        check(tree.root, np.ones(len(ys), dtype=bool), 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_problems())
+    def test_given_order_and_reference_grower_agree(self, problem):
+        X, ys, params = problem
+        tree = fit_tree(X, ys, params)
+        assert fit_tree(X, ys, params, order=np.argsort(X, axis=0, kind="stable")) == tree
+        assert tree.root == reference_tree(X, ys, params)
+
+    def test_order_shape_checked(self):
+        X = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="order"):
+            fit_tree(X, np.arange(4.0), order=np.zeros((4, 1), dtype=int))
 
 
 class TestSerialization:
