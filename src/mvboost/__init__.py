@@ -12,9 +12,7 @@ from .boosting import (
 from .distributions import (
     MomentForm,
     MvnFamily,
-    ScaleMatrix,
     ThetaVector,
-    build_scale_matrix,
     fisher_information,
     fit_theta_from_moments,
     kl_divergence,

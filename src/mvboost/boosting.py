@@ -89,7 +89,7 @@ def line_search(theta_batch, directions_batch, Y_batch, family) -> float:
     best_total = np.inf
     for rho in LINE_SEARCH_GRID:
         trial = theta_batch - rho * directions_batch
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             totals = family.nll(trial, Y_batch)
         total = float(np.sum(totals))
         if not np.isfinite(total):

@@ -15,13 +15,12 @@ import click
 import numpy as np
 
 from . import boosting, metrics, simulation
-from .data_io import DataError, DatasetSpec, MinMaxScaling, load_dataset, read_table, write_csv
+from .data_io import DataError, read_table, write_csv
 from .distributions import (
     InvalidParameterError,
     dim_from_param_count,
     nll_batch,
     scale_matrices,
-    thetas_from_scale_matrices,
     triu_layout,
 )
 from .model_io import ModelFormatError, load_model, save_model
@@ -47,6 +46,12 @@ def _handle_errors(func):
     return wrapper
 
 
+def _require_finite(values, what):
+    """Refuse output holding a NaN or an infinity as a numeric failure (exit 4)."""
+    if not np.all(np.isfinite(values)):
+        raise InvalidParameterError(f"non-finite {what}")
+
+
 def _check_overwrite(path, force):
     if os.path.exists(path) and not force:
         raise click.ClickException(f"refusing to overwrite {path} (use --force)")
@@ -59,7 +64,8 @@ def main():
 
 
 @main.command("simulate")
-@click.option("--n", type=int, required=True, help="Number of rows to draw.")
+@click.option("--n", type=click.IntRange(min=1), required=True,
+              help="Number of rows to draw.")
 @click.option("--variant", type=click.Choice(simulation.VARIANTS), default="modified",
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -128,12 +134,11 @@ def _parse_columns(text):
               help="Comma-separated feature columns (default: all non-target columns).")
 @click.option("--val-file", type=click.Path(exists=True), default=None,
               help="Separate validation CSV with the same schema.")
-@click.option("--val-frac", type=float, default=0.2, show_default=True,
+@click.option("--val-frac", type=click.FloatRange(0.0, 1.0, max_open=True), default=0.2,
+              show_default=True,
               help="Held-out validation fraction when no --val-file is given.")
 @click.option("--independent", is_flag=True, help="Fit each target dimension separately.")
 @click.option("--plain-gradient", is_flag=True, help="Skip the Fisher preconditioning.")
-@click.option("--scale-x", is_flag=True, help="Min-max scale features to [0,1].")
-@click.option("--scale-y", is_flag=True, help="Min-max scale targets to [0,1].")
 @_config_options
 @click.option("--out", type=click.Path(), required=True, help="Model file to write.")
 @click.option("--log", "log_path", type=click.Path(), default=None,
@@ -141,8 +146,8 @@ def _parse_columns(text):
 @click.option("--force", is_flag=True)
 @_handle_errors
 def cmd_train(data_path, targets, features, val_file, val_frac, independent,
-              plain_gradient, scale_x, scale_y, stages, learning_rate, patience,
-              max_depth, min_samples_leaf, seed, out, log_path, force):
+              plain_gradient, stages, learning_rate, patience, max_depth,
+              min_samples_leaf, seed, out, log_path, force):
     """Fit a boosted distribution model and persist it as versioned JSON."""
     _check_overwrite(out, force)
     if log_path:
@@ -154,8 +159,11 @@ def cmd_train(data_path, targets, features, val_file, val_frac, independent,
         if features
         else tuple(c for c in table.columns if c not in target_cols)
     )
-    spec = DatasetSpec(path=data_path, target_columns=target_cols,
-                       feature_columns=feature_cols, scale_x=scale_x, scale_y=scale_y)
+    if not target_cols or not feature_cols:
+        raise DataError("select at least one target and one feature column")
+    overlap = sorted(set(target_cols) & set(feature_cols))
+    if overlap:
+        raise DataError(f"columns used as both feature and target: {overlap}")
     X = table.select(feature_cols)
     Y = table.select(target_cols)
     if Y.shape[0] <= Y.shape[1]:
@@ -172,18 +180,6 @@ def cmd_train(data_path, targets, features, val_file, val_frac, independent,
         X, Y, X_val, Y_val = X[train_idx], Y[train_idx], X[val_idx], Y[val_idx]
     else:
         X_val = Y_val = None
-
-    scaling = {}
-    if scale_x:
-        sx = MinMaxScaling.fit(X)
-        X = sx.transform(X)
-        X_val = sx.transform(X_val) if X_val is not None else None
-        scaling["x"] = sx.to_dict()
-    if scale_y:
-        sy = MinMaxScaling.fit(Y)
-        Y = sy.transform(Y)
-        Y_val = sy.transform(Y_val) if Y_val is not None else None
-        scaling["y"] = sy.to_dict()
 
     config = _build_config(stages, learning_rate, patience, max_depth,
                            min_samples_leaf, natural_gradient=not plain_gradient)
@@ -202,7 +198,7 @@ def cmd_train(data_path, targets, features, val_file, val_frac, independent,
         "source": os.path.basename(data_path),
     }
     save_model(model, out, feature_names=feature_cols, target_names=target_cols,
-               metadata=metadata, scaling=scaling or None)
+               metadata=metadata)
 
     if log_path:
         rows = []
@@ -214,19 +210,13 @@ def cmd_train(data_path, targets, features, val_file, val_frac, independent,
     click.echo(f"wrote model to {out}")
 
 
-def _predict_joint_thetas(model, doc, X):
-    """Predicted joint thetas in original target units, (n, M)."""
-    scaling = doc.get("scaling") or {}
-    if "x" in scaling:
-        X = MinMaxScaling.from_dict(scaling["x"]).transform(X)
+def _predict_joint_thetas(model, X):
+    """Predicted joint thetas, (n, M), and the target dimension p."""
     if isinstance(model, boosting.IndependentModel):
         thetas = model.predict_theta(X)
     else:
         thetas = boosting.predict_theta(model, X)
-    p = dim_from_param_count(thetas.shape[1])
-    if "y" in scaling:
-        thetas = _unscale_theta(thetas, p, MinMaxScaling.from_dict(scaling["y"]))
-    return thetas, p
+    return thetas, dim_from_param_count(thetas.shape[1])
 
 
 def _feature_names(doc):
@@ -235,12 +225,6 @@ def _feature_names(doc):
     if not names:
         raise DataError("model file lists no feature_names to select from the data")
     return tuple(names)
-
-
-def _unscale_theta(thetas, p, sy: MinMaxScaling):
-    """Map thetas fitted on min-max scaled targets back to original units."""
-    L = scale_matrices(thetas, p) / sy.span[None, None, :]
-    return thetas_from_scale_matrices(thetas[:, :p] * sy.span + sy.minima, L)
 
 
 @main.command("predict")
@@ -257,7 +241,7 @@ def cmd_predict(model_path, data_path, out, force):
     feature_cols = _feature_names(doc)
     target_cols = tuple(doc.get("target_names") or ())
     X = table.select(feature_cols)
-    thetas, p = _predict_joint_thetas(model, doc, X)
+    thetas, p = _predict_joint_thetas(model, X)
 
     rows_idx, cols_idx = triu_layout(p)
     columns = [f"mu{i + 1}" for i in range(p)]
@@ -273,6 +257,7 @@ def cmd_predict(model_path, data_path, out, force):
         Y = table.select(target_cols)
         columns.append("nll")
         values = np.column_stack([values, nll_batch(thetas, Y, p)])
+    _require_finite(values, "predicted theta, sigma or nll")
     write_csv(out, columns, [tuple(map(float, row)) for row in values])
     click.echo(f"wrote {values.shape[0]} predictions to {out}")
 
@@ -282,7 +267,8 @@ def cmd_predict(model_path, data_path, out, force):
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
 @click.option("--truth", "truth_path", type=click.Path(exists=True), default=None,
               help="Truth sidecar CSV (mu1,mu2,var1,var2,rho) for KL evaluation.")
-@click.option("--alpha", type=float, default=0.9, show_default=True)
+@click.option("--alpha", type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
+              default=0.9, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Optional report CSV.")
 @click.option("--force", is_flag=True)
 @_handle_errors
@@ -298,7 +284,7 @@ def cmd_evaluate(model_path, data_path, truth_path, alpha, out, force):
         raise DataError("evaluate requires the model's target columns in the data file")
     X = table.select(feature_cols)
     Y = table.select(target_cols)
-    thetas, p = _predict_joint_thetas(model, doc, X)
+    thetas, p = _predict_joint_thetas(model, X)
 
     thetas_true = None
     if truth_path:
@@ -306,14 +292,7 @@ def cmd_evaluate(model_path, data_path, truth_path, alpha, out, force):
         moments = truth.select(("mu1", "mu2", "var1", "var2", "rho"))
         if moments.shape[0] != Y.shape[0]:
             raise DataError("truth sidecar row count differs from dataset")
-        from .distributions import fit_theta_from_moments_batch
-
-        means = moments[:, :2]
-        covs = np.empty((moments.shape[0], 2, 2))
-        covs[:, 0, 0] = moments[:, 2]
-        covs[:, 1, 1] = moments[:, 3]
-        covs[:, 0, 1] = covs[:, 1, 0] = np.sqrt(moments[:, 2] * moments[:, 3]) * moments[:, 4]
-        thetas_true = fit_theta_from_moments_batch(means, covs)
+        thetas_true = simulation.thetas_from_moments(*moments.T)
 
     report = metrics.evaluate(thetas, Y, thetas_true, alpha=alpha)
     label = f"{report.pr_alpha * 100:.0f}% PR"
@@ -325,6 +304,7 @@ def cmd_evaluate(model_path, data_path, truth_path, alpha, out, force):
     ]
     if report.kl_mean is not None:
         lines.insert(0, ("KL div", report.kl_mean))
+    _require_finite([value for _, value in lines], "metric")
     width = max(len(name) for name, _ in lines)
     for name, value in lines:
         click.echo(f"{name:<{width}}  {value:.6f}")
@@ -345,13 +325,13 @@ FULL_REPLICATIONS = 50
 @main.command("benchmark")
 @click.option("--n-grid", default="500,1000,5000", show_default=True,
               help="Comma-separated training sizes.")
-@click.option("--reps", type=int, default=5, show_default=True)
+@click.option("--reps", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--methods", default="ngb,indep-ngb,plain-gb", show_default=True)
 @click.option("--variant", type=click.Choice(simulation.VARIANTS), default="modified",
               show_default=True)
 @click.option("--full-table1", is_flag=True,
               help="Run the full-scale plan (N up to 10000, 50 replications).")
-@click.option("--threads", type=int, default=1, show_default=True,
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker processes for independent cells.")
 @_config_options
 @click.option("--out", "out_dir", type=click.Path(), required=True,

@@ -1,38 +1,21 @@
-"""CSV ingestion with column selection and optional min-max scaling.
+"""CSV ingestion with column selection.
 
 Datasets are plain CSV with a mandatory header row; target and feature
 columns are selected by name so silent column drift is impossible.  Cells
 must parse as finite numbers; offenders are reported with their row and
-column.  Min-max scaling (fitted on the training data, stored in the model
-file) maps each selected column to [0, 1].
+column.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class DataError(ValueError):
     """Dataset file violates the expected schema or contains bad cells."""
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    path: str
-    target_columns: tuple[str, ...]
-    feature_columns: tuple[str, ...]
-    scale_x: bool = False
-    scale_y: bool = False
-
-    def __post_init__(self):
-        overlap = set(self.target_columns) & set(self.feature_columns)
-        if overlap:
-            raise DataError(f"columns used as both feature and target: {sorted(overlap)}")
-        if not self.target_columns and not self.feature_columns:
-            raise DataError("no columns selected")
 
 
 @dataclass(frozen=True)
@@ -78,48 +61,6 @@ def read_table(path) -> Table:
     if not rows:
         raise DataError(f"{path}: no data rows")
     return Table(columns=tuple(header), values=np.array(rows, dtype=float))
-
-
-def load_dataset(spec: DatasetSpec):
-    """Return (X, Y) per the spec's column selection (Y may be empty)."""
-    table = read_table(spec.path)
-    X = table.select(spec.feature_columns)
-    Y = table.select(spec.target_columns) if spec.target_columns else None
-    return X, Y
-
-
-@dataclass(frozen=True)
-class MinMaxScaling:
-    """Per-column affine map to [0, 1], fitted on training data."""
-
-    minima: np.ndarray
-    maxima: np.ndarray
-    span: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        span = np.where(self.maxima > self.minima, self.maxima - self.minima, 1.0)
-        object.__setattr__(self, "span", span)
-
-    @classmethod
-    def fit(cls, values) -> "MinMaxScaling":
-        values = np.asarray(values, dtype=float)
-        return cls(minima=values.min(axis=0), maxima=values.max(axis=0))
-
-    def transform(self, values) -> np.ndarray:
-        return (np.asarray(values, dtype=float) - self.minima) / self.span
-
-    def inverse(self, values) -> np.ndarray:
-        return np.asarray(values, dtype=float) * self.span + self.minima
-
-    def to_dict(self) -> dict:
-        return {"min": self.minima.tolist(), "max": self.maxima.tolist()}
-
-    @classmethod
-    def from_dict(cls, data) -> "MinMaxScaling":
-        return cls(
-            minima=np.asarray(data["min"], dtype=float),
-            maxima=np.asarray(data["max"], dtype=float),
-        )
 
 
 def write_csv(path, columns, rows):

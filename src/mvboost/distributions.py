@@ -7,9 +7,10 @@ vector is
     theta = (mu_1, ..., mu_p, nu_11, nu_12, ..., nu_1p, nu_22, ..., nu_pp)
 
 i.e. means first, then the triangular entries in row-major order.  The diagonal
-of L is exp(nu_ii) plus a small perturbation for numerical stability; the
-off-diagonals are the nu_ij themselves.  Every finite theta therefore maps to a
-valid positive definite covariance.
+of L is a_ii = exp(nu_ii) and the off-diagonals are the nu_ij themselves, so
+every finite theta maps to a positive definite covariance.  No constant enters
+the map: scaling y by c maps theta exactly, mu to c mu, nu_ii to nu_ii - ln c
+and nu_ij to nu_ij / c, which makes fits independent of the target units.
 
 The Fisher information is block-diagonal (the mean block, then one block per
 row i of L), so the natural gradient needs no solve: it is z = mu - y for the
@@ -27,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-DIAG_EPS = 1e-6
+# The diagonal of L carries no floor.  Only fitbench reads this name, and it
+# must stay exactly 0.0 so that the benchmark oracle and the program agree.
+DIAG_EPS = 0.0
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -88,26 +91,11 @@ class ThetaVector:
 
 
 @dataclass(frozen=True)
-class ScaleMatrix:
-    """Upper-triangular factor L with Sigma^{-1} = L^T L."""
-
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class MomentForm:
     """Moment parameterization (mean, covariance) of the same distribution."""
 
     mean: np.ndarray
     covariance: np.ndarray
-
-
-@dataclass(frozen=True)
-class WhitenedResiduals:
-    """z = mu - y and its whitening eta = L z (internal helper)."""
-
-    z: np.ndarray
-    eta: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +111,7 @@ def scale_matrices(thetas: np.ndarray, p: int) -> np.ndarray:
     rows, cols = triu_layout(p)
     vals = thetas[:, p:].copy()
     diag = rows == cols
-    vals[:, diag] = np.exp(vals[:, diag]) + DIAG_EPS
+    vals[:, diag] = np.exp(vals[:, diag])
     out = np.zeros((thetas.shape[0], p, p))
     out[:, rows, cols] = vals
     return out
@@ -152,10 +140,9 @@ def nll_batch(thetas, Ys, p) -> np.ndarray:
 def score_batch(thetas, Ys, p) -> np.ndarray:
     """Gradient of the negative log-likelihood w.r.t. theta, per row.
 
-    Mean block is L^T eta; nu entries are eta_i z_j with the diagonal entries
-    carrying the extra exp(nu_ii) chain factor and the log-determinant term.
-    This is the exact gradient of :func:`nll_batch` including the diagonal
-    perturbation, so it agrees with finite differences to machine precision.
+    Mean block is L^T eta; nu entries are eta_i z_j, and the diagonal entries
+    carry the chain factor a_ii = exp(nu_ii) and the log-determinant term, so
+    d/d nu_ii = eta_i z_i a_ii - 1.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     L, z, eta = _whiten(thetas, Ys, p)
@@ -164,9 +151,7 @@ def score_batch(thetas, Ys, p) -> np.ndarray:
     grad = np.empty_like(thetas)
     grad[:, :p] = np.einsum("nji,nj->ni", L, eta)
     g_nu = eta[:, rows] * z[:, cols]
-    exp_nu = np.exp(thetas[:, p:][:, diag])
-    a_diag = L[:, np.arange(p), np.arange(p)]
-    g_nu[:, diag] = g_nu[:, diag] * exp_nu - exp_nu / a_diag
+    g_nu[:, diag] = g_nu[:, diag] * L[:, np.arange(p), np.arange(p)] - 1.0
     grad[:, p:] = g_nu
     return grad
 
@@ -177,7 +162,7 @@ def fisher_batch(thetas, p) -> np.ndarray:
     Block structure: the mean block is the precision L^T L; the mean/nu cross
     block is identically zero; the nu block couples entries that share a row
     of L, through the covariance Sigma = (L^T L)^{-1}.  Diagonal entries carry
-    the score's chain factor e_i = exp(nu_ii), not a_ii = e_i + DIAG_EPS.
+    the score's chain factor a_ii = exp(nu_ii).
 
     The fit does not call this: :func:`natural_gradient_batch` inverts the
     blocks in closed form.  It is kept as the reference the tests compare
@@ -194,7 +179,6 @@ def fisher_batch(thetas, p) -> np.ndarray:
     sigma = np.einsum("nik,njk->nij", inv_l, inv_l)
     rows, cols = triu_layout(p)
     a_diag = L[:, np.arange(p), np.arange(p)]
-    e_diag = np.exp(thetas[:, p:][:, rows == cols])
 
     fisher = np.zeros((n, m, m))
     fisher[:, :p, :p] = prec
@@ -206,9 +190,9 @@ def fisher_batch(thetas, p) -> np.ndarray:
             if i != k:  # entries in different rows of L are uncorrelated
                 continue
             if i == j and k == q:
-                val = e_diag[:, i] ** 2 * (sigma[:, i, i] + 1.0 / a_diag[:, i] ** 2)
+                val = a_diag[:, i] ** 2 * sigma[:, i, i] + 1.0
             elif i == j:  # diagonal nu_ii against off-diagonal nu_iq
-                val = e_diag[:, i] * sigma[:, i, q]
+                val = a_diag[:, i] * sigma[:, i, q]
             else:  # both off-diagonal
                 val = sigma[:, j, q]
             fisher[:, p + s, p + t] = val
@@ -238,8 +222,7 @@ def natural_gradient_batch(thetas, Ys, p) -> np.ndarray:
     out = np.empty_like(thetas)
     out[:, :p] = z
     nat = N[:, rows, cols]
-    diag = rows == cols
-    nat[:, diag] /= np.exp(thetas[:, p:][:, diag])
+    nat[:, rows == cols] /= L[:, idx, idx]
     out[:, p:] = nat
     return out
 
@@ -258,11 +241,6 @@ def sample_each(thetas, p, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def build_scale_matrix(theta: ThetaVector) -> ScaleMatrix:
-    """Upper-triangular L with diag exp(nu_ii) + eps and off-diag nu_ij."""
-    return ScaleMatrix(scale_matrices(theta.values, theta.dim_p)[0])
-
-
 def to_moment_form(theta: ThetaVector) -> MomentForm:
     """Convert to (mean, covariance) by triangular solves on L."""
     p = theta.dim_p
@@ -272,11 +250,6 @@ def to_moment_form(theta: ThetaVector) -> MomentForm:
     cov = inv_l @ inv_l.T
     cov = 0.5 * (cov + cov.T)
     return MomentForm(mean=theta.mean.copy(), covariance=cov)
-
-
-def whitened_residuals(theta: ThetaVector, y) -> WhitenedResiduals:
-    _, z, eta = _whiten(theta.values, np.asarray(y, dtype=float), theta.dim_p)
-    return WhitenedResiduals(z=z[0], eta=eta[0])
 
 
 def nll(theta: ThetaVector, y) -> float:
@@ -332,30 +305,16 @@ def _precision_factors(covs, p):
     return np.transpose(np.linalg.cholesky(prec), (0, 2, 1))
 
 
-def thetas_from_scale_matrices(means, L) -> np.ndarray:
-    """Inverse of :func:`scale_matrices`: theta rows (n, M) from means (n, p)
-    and upper-triangular factors L (n, p, p)."""
-    n, p = means.shape
-    rows, cols = triu_layout(p)
-    diag = rows == cols
-    out = np.empty((n, param_count(p)))
-    out[:, :p] = means
-    nus = L[:, rows, cols]
-    diag_vals = nus[:, diag] - DIAG_EPS
-    if np.any(diag_vals <= 0):
-        raise InvalidParameterError(
-            "covariance too large to represent: triangular diagonal below eps"
-        )
-    nus[:, diag] = np.log(diag_vals)
-    out[:, p:] = nus
-    return out
-
-
 def fit_theta_from_moments_batch(means, covs) -> np.ndarray:
     """Batched inverse moment map; means (n, p), covs (n, p, p) -> (n, M)."""
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
-    return thetas_from_scale_matrices(means, _precision_factors(covs, means.shape[1]))
+    p = means.shape[1]
+    rows, cols = triu_layout(p)
+    diag = rows == cols
+    nus = _precision_factors(covs, p)[:, rows, cols]
+    nus[:, diag] = np.log(nus[:, diag])
+    return np.concatenate([means, nus], axis=1)
 
 
 def marginal_mle(Y) -> ThetaVector:

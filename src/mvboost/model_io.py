@@ -3,12 +3,14 @@
 Human-diffable text format; trees are stored as nested node records.  The
 round trip save -> load -> save is byte-identical (floats serialize via their
 shortest exact repr), and loading a newer format version than this code
-supports is an error.
+supports is an error.  Version 1 files are refused as well: their nu_ii meant
+log(a_ii - 1e-6), under a diagonal floor this version no longer has.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -17,7 +19,7 @@ from .boosting import BoostConfig, BoostModel, IndependentModel, Stage
 from .distributions import param_count
 from .trees import TreeParams, tree_from_dict, tree_to_dict
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -102,11 +104,15 @@ def _check_boost_model(model: BoostModel):
         raise ModelFormatError(
             f"unsupported model family {tag!r} with {model.theta0.size} parameters"
         )
+    if not np.all(np.isfinite(model.theta0)):
+        raise ModelFormatError("theta0 holds a non-finite value")
     if not 0 <= model.best_stage <= len(model.stages):
         raise ModelFormatError(
             f"best_stage {model.best_stage} is outside 0..{len(model.stages)}"
         )
     for b, stage in enumerate(model.stages, start=1):
+        if not math.isfinite(stage.rho):
+            raise ModelFormatError(f"stage {b} has a non-finite rho {stage.rho}")
         if len(stage.trees) != model.n_params:
             raise ModelFormatError(
                 f"stage {b} has {len(stage.trees)} trees, family {tag} needs {model.n_params}"
@@ -118,15 +124,13 @@ def _check_boost_model(model: BoostModel):
             )
 
 
-def model_to_dict(model, feature_names=None, target_names=None, metadata=None,
-                  scaling=None) -> dict:
+def model_to_dict(model, feature_names=None, target_names=None, metadata=None) -> dict:
     """Wrap a fitted model (joint or independent) in the file schema."""
     doc = {
         "format_version": FORMAT_VERSION,
         "feature_names": list(feature_names) if feature_names else None,
         "target_names": list(target_names) if target_names else None,
         "metadata": metadata or {},
-        "scaling": scaling,
     }
     if isinstance(model, IndependentModel):
         doc["kind"] = "univariate-set"
@@ -146,6 +150,11 @@ def model_from_dict(doc: dict):
     version = doc.get("format_version")
     if not isinstance(version, int) or version < 1:
         raise ModelFormatError("missing or invalid format_version")
+    if version == 1:
+        raise ModelFormatError(
+            "model file format_version 1 stores nu_ii as log(a_ii - 1e-6) and may "
+            "hold target scaling, which this version does not read; refit the model"
+        )
     if version > FORMAT_VERSION:
         raise ModelFormatError(
             f"model file format_version {version} is newer than supported ({FORMAT_VERSION})"

@@ -87,16 +87,19 @@ def true_moments(x, variant: str = "modified"):
     return mu1, mu2, var1, var2, rho
 
 
-def true_params_batch(x, variant: str = "modified") -> np.ndarray:
-    """theta rows (n, 5) of the generating distribution at each x."""
-    mu1, mu2, var1, var2, rho = true_moments(x, variant)
-    n = mu1.shape[0]
+def thetas_from_moments(mu1, mu2, var1, var2, rho) -> np.ndarray:
+    """theta rows (n, 5) of bivariate Gaussians given by their moment arrays."""
     means = np.stack([mu1, mu2], axis=1)
-    covs = np.empty((n, 2, 2))
+    covs = np.empty((means.shape[0], 2, 2))
     covs[:, 0, 0] = var1
     covs[:, 1, 1] = var2
     covs[:, 0, 1] = covs[:, 1, 0] = np.sqrt(var1 * var2) * rho
     return fit_theta_from_moments_batch(means, covs)
+
+
+def true_params_batch(x, variant: str = "modified") -> np.ndarray:
+    """theta rows (n, 5) of the generating distribution at each x."""
+    return thetas_from_moments(*true_moments(x, variant))
 
 
 def true_params(x: float, variant: str = "modified") -> np.ndarray:

@@ -17,11 +17,13 @@ same X; it sorts once per fit and passes that order to every
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # Relative slack below which an SSE improvement counts as zero and growth stops.
+# It has no absolute part, so scaling the targets never changes a tree's shape.
 _GAIN_TOL = 1e-12
 
 
@@ -117,13 +119,13 @@ def _grow(XT, ys, rows, order, goes_left, params, depth):
     ):
         return Leaf(float(node_ys.mean()))
     parent_sse = _node_sse(node_ys)
-    if parent_sse <= _GAIN_TOL * max(1.0, float(np.sum(node_ys * node_ys))):
+    if parent_sse <= _GAIN_TOL * float(np.sum(node_ys * node_ys)):
         return Leaf(float(node_ys.mean()))
     best = _best_split(XT, ys, order, params.min_samples_leaf)
     if best is None:
         return Leaf(float(node_ys.mean()))
     feat, threshold, sse_children = best
-    if parent_sse - sse_children <= _GAIN_TOL * max(1.0, parent_sse):
+    if parent_sse - sse_children <= _GAIN_TOL * parent_sse:
         return Leaf(float(node_ys.mean()))
     mask = XT[feat, rows] <= threshold
     if not mask.any() or mask.all():  # midpoint rounded onto a data value
@@ -215,20 +217,27 @@ def _node_to_dict(node):
 
 def tree_from_dict(data: dict) -> RegressionTree:
     """Inverse of :func:`tree_to_dict`; a split on a feature the tree does not
-    have raises ValueError."""
+    have, or a non-finite leaf value or threshold, raises ValueError."""
     n_features = data["n_features"]
     return RegressionTree(root=_node_from_dict(data["root"], n_features), n_features=n_features)
 
 
+def _finite(value, what):
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {what} {value}")
+    return value
+
+
 def _node_from_dict(data, n_features):
     if "leaf" in data:
-        return Leaf(float(data["leaf"]))
+        return Leaf(_finite(data["leaf"], "leaf value"))
     feature = int(data["feature"])
     if not 0 <= feature < n_features:
         raise ValueError(f"split on feature {feature} of a {n_features}-feature tree")
     return Split(
         feature_index=feature,
-        threshold=float(data["threshold"]),
+        threshold=_finite(data["threshold"], "threshold"),
         left=_node_from_dict(data["left"], n_features),
         right=_node_from_dict(data["right"], n_features),
     )

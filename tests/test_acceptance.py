@@ -80,7 +80,8 @@ def test_criterion_2_fisher_matches_score_covariance():
     worst_sigma = 0.0
     cross_block_zero = True
     cases = [(p, _random_theta(rng, p)) for p in (1, 2, 3) for _ in range(4)][:10]
-    # a small scale, where a_11 = exp(nu_11) + DIAG_EPS differs from exp(nu_11)
+    # a tiny diagonal entry a_11 = exp(-13), where a wrong chain factor in the
+    # Fisher shows most
     cases.append((2, np.array([0.0, 0.0, -13.0, 0.0, 0.0])))
     for p, theta in cases:
         M = param_count(p)

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvboost import boosting
 from mvboost.boosting import (
@@ -16,6 +20,7 @@ from mvboost.distributions import (
     param_count,
     scale_matrices,
 )
+from mvboost.simulation import generate
 from mvboost.trees import TreeParams
 
 
@@ -227,3 +232,65 @@ class TestConfigValidation:
         assert cfg.patience == 50
         assert cfg.natural_gradient is True
         assert cfg.tree_params == TreeParams()
+
+
+# A few stages; patience above the stage count keeps every path full length.
+_INVARIANCE_CONFIG = BoostConfig(n_stages_max=6, learning_rate=0.1, patience=10)
+_TRAIN, _VAL = generate(300, seed=0), generate(100, seed=1)
+
+
+def _fit_summary(independent, X, Y, X_val=None, Y_val=None):
+    """NLL paths, one row per fitted model, and the thetas predicted at X_val
+    (at X when there is no validation set)."""
+    if independent:
+        model = fit_independent(X, Y, X_val, Y_val, _INVARIANCE_CONFIG)
+        models, thetas = model.models, model.predict_theta(X if X_val is None else X_val)
+    else:
+        model = fit(X, Y, X_val, Y_val, _INVARIANCE_CONFIG)
+        models, thetas = [model], predict_theta(model, X if X_val is None else X_val)
+    paths = np.array([m.train_nll_path + m.val_nll_path for m in models])
+    return paths, thetas
+
+
+@functools.cache
+def _base_summary(independent):
+    return _fit_summary(independent, _TRAIN.X, _TRAIN.Y, _VAL.X, _VAL.Y)
+
+
+@pytest.mark.parametrize("independent", [False, True], ids=["joint", "independent"])
+class TestInvariance:
+    """A fit does not depend on the units of Y, nor on more than the order of X."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(log10_c=st.floats(-6.0, 8.0))
+    def test_target_scale(self, independent, log10_c):
+        c = 10.0**log10_c
+        base_paths, base_thetas = _base_summary(independent)
+        paths, thetas = _fit_summary(independent, _TRAIN.X, c * _TRAIN.Y, _VAL.X, c * _VAL.Y)
+        # each NLL is of a density in p = 1 or 2 target units
+        shift = (1 if independent else 2) * np.log(c)
+        size = np.abs(base_paths).max() + abs(shift)
+        assert np.all(np.abs(paths - (base_paths + shift)) <= 1e-9 * size)
+        mu = c * base_thetas[:, :2]
+        assert np.all(np.abs(thetas[:, :2] - mu) <= 1e-9 * np.abs(mu).max())
+
+    @settings(max_examples=25, deadline=None)
+    @given(shift=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)))
+    def test_target_shift(self, independent, shift):
+        base_paths, _ = _base_summary(independent)
+        s = np.array(shift)
+        paths, _ = _fit_summary(independent, _TRAIN.X, _TRAIN.Y + s, _VAL.X, _VAL.Y + s)
+        assert np.all(np.abs(paths - base_paths) <= 1e-9 * np.abs(base_paths).max())
+
+    @settings(max_examples=25, deadline=None)
+    @given(through_exp=st.booleans(), scale=st.floats(1e-3, 1e3),
+           offset=st.floats(-1e3, 1e3))
+    def test_monotone_feature_map(self, independent, through_exp, scale, offset):
+        # Trees only see the order of X, so the fit on the training rows is
+        # the same; new rows between two training values may route otherwise.
+        X = _TRAIN.X
+        mapped = scale * (np.exp(X) if through_exp else X) + offset
+        base_paths, base_thetas = _fit_summary(independent, X, _TRAIN.Y)
+        paths, thetas = _fit_summary(independent, mapped, _TRAIN.Y)
+        assert np.array_equal(paths, base_paths)
+        assert np.array_equal(thetas, base_thetas)

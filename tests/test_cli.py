@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from mvboost.boosting import BoostConfig, BoostModel
 from mvboost.cli import main
 from mvboost.distributions import ThetaVector, to_moment_form
-from mvboost.model_io import save_model
+from mvboost.model_io import load_model, save_model
 
 
 @pytest.fixture
@@ -30,6 +30,15 @@ def simulate(runner, path, n=300, seed=0, extra=()):
     )
     assert result.exit_code == 0, result.output
     return path, path.parent / (path.stem + "_truth.csv")
+
+
+def stage_free_model(tmp_path, theta0=(0.0, 0.0, 0.0, 0.0, 0.0)):
+    """A p = 2 model file with no stages, predicting theta0 everywhere."""
+    model = BoostModel(theta0=np.array(theta0), stages=(), config=BoostConfig(),
+                       family_tag="mvn-2", best_stage=0, n_features=1)
+    path = tmp_path / "m.json"
+    save_model(model, path, feature_names=["x"], target_names=["y1", "y2"])
+    return path
 
 
 def train(runner, data, model, extra=()):
@@ -98,7 +107,7 @@ class TestTrainPredict:
         data, _ = simulate(runner, tmp_path / "d.csv")
         model = train(runner, data, tmp_path / "m.json")
         doc = json.loads(model.read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert doc["feature_names"] == ["x"]
         assert doc["target_names"] == ["y1", "y2"]
 
@@ -166,6 +175,14 @@ class TestTrainPredict:
         (lambda m: m.update(best_stage=99), "best_stage"),
         (lambda m: m["stages"][0]["trees"].pop(), "trees"),
         (lambda m: m.update(best_stage="3"), "best_stage"),
+        # json writes NaN and Infinity as literals, which json.load accepts
+        (lambda m: m["theta0"].__setitem__(2, float("nan")), "theta0 holds"),
+        (lambda m: m["stages"][0].__setitem__("rho", float("inf")), "non-finite rho"),
+        (lambda m: m["stages"][0]["trees"][0].__setitem__("root", {"leaf": float("nan")}),
+         "non-finite leaf"),
+        (lambda m: m["stages"][0]["trees"][0].__setitem__("root", {
+            "feature": 0, "threshold": float("-inf"), "left": {"leaf": 0.0},
+            "right": {"leaf": 1.0}}), "non-finite threshold"),
     ])
     def test_malformed_model_is_data_error(self, runner, tmp_path, mutate, message):
         data, _ = simulate(runner, tmp_path / "d.csv")
@@ -219,6 +236,19 @@ class TestTrainPredict:
             got = np.array([float(r[header.index(f"sigma{i + 1}{j + 1}")]) for r in rows])
             np.testing.assert_allclose(got, expected[i, j], rtol=1e-12)
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_non_finite_prediction_is_numeric_failure(self, runner, tmp_path, command):
+        # a finite theta whose a_11 = exp(1e300) overflows
+        model = stage_free_model(tmp_path, theta0=(0.0, 0.0, 1e300, 0.0, 0.0))
+        data, _ = simulate(runner, tmp_path / "d.csv", n=20)
+        out = tmp_path / "out.csv"
+        result = runner.invoke(
+            main, [command, "--model", str(model), "--data", str(data), "--out", str(out)]
+        )
+        assert result.exit_code == 4, result.output
+        assert "non-finite" in result.output
+        assert not out.exists()
+
     def test_predict_without_feature_names_is_data_error(self, runner, tmp_path):
         data, _ = simulate(runner, tmp_path / "d.csv")
         model = train(runner, data, tmp_path / "m.json")
@@ -232,18 +262,52 @@ class TestTrainPredict:
         assert result.exit_code == 3
         assert "feature_names" in result.output
 
-    def test_scaled_training_round_trip(self, runner, tmp_path):
+    def test_target_units_do_not_matter(self, runner, tmp_path):
         data, _ = simulate(runner, tmp_path / "d.csv")
-        plain = train(runner, data, tmp_path / "m0.json")
-        scaled = train(runner, data, tmp_path / "m1.json", extra=["--scale-x", "--scale-y"])
-        out0, out1 = tmp_path / "p0.csv", tmp_path / "p1.csv"
-        runner.invoke(main, ["predict", "--model", str(plain), "--data", str(data), "--out", str(out0)])
-        runner.invoke(main, ["predict", "--model", str(scaled), "--data", str(data), "--out", str(out1)])
-        h, rows0 = read_csv(out0)
-        _, rows1 = read_csv(out1)
-        mu1 = np.array([float(r[0]) for r in rows1])
-        # scaled fit reports means in original units, same range as unscaled
-        assert abs(mu1.mean() - np.mean([float(r[0]) for r in rows0])) < 0.5
+        header, rows = read_csv(data)
+        big = tmp_path / "big.csv"
+        big.write_text(",".join(header) + "\n" + "".join(
+            f"{r[0]},{float(r[1]) * 1e7!r},{float(r[2]) * 1e7!r}\n" for r in rows))
+        preds = []
+        for path in (data, big):
+            model = train(runner, path, tmp_path / f"m_{path.stem}.json")
+            out = tmp_path / f"p_{path.stem}.csv"
+            result = runner.invoke(
+                main, ["predict", "--model", str(model), "--data", str(path), "--out", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+            preds.append(read_csv(out))
+        (h, base), (_, scaled) = preds
+        for col, factor in [("mu1", 1e7), ("mu2", 1e7),
+                            ("sigma11", 1e14), ("sigma12", 1e14), ("sigma22", 1e14)]:
+            k = h.index(col)
+            expected = factor * np.array([float(r[k]) for r in base])
+            got = np.array([float(r[k]) for r in scaled])
+            np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("extra", [[], ["--independent"]])
+    def test_model_file_save_load_save_identical(self, runner, tmp_path, extra):
+        data, _ = simulate(runner, tmp_path / "d.csv")
+        path = train(runner, data, tmp_path / "m.json", extra=extra)
+        model, doc = load_model(path)
+        again = tmp_path / "again.json"
+        save_model(model, again, feature_names=doc["feature_names"],
+                   target_names=doc["target_names"], metadata=doc["metadata"])
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_version_1_file_asks_for_refit(self, runner, tmp_path):
+        data, _ = simulate(runner, tmp_path / "d.csv", n=20)
+        model = stage_free_model(tmp_path)
+        doc = json.loads(model.read_text())
+        doc["format_version"] = 1
+        doc["scaling"] = {"y": {"min": [0.0, 0.0], "max": [1.0, 1.0]}}
+        model.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["predict", "--model", str(model), "--data", str(data),
+                   "--out", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == 3
+        assert "refit" in result.output
 
     def test_train_log(self, runner, tmp_path):
         data, _ = simulate(runner, tmp_path / "d.csv")
@@ -332,6 +396,45 @@ class TestErrors:
                    "--out", str(tmp_path / "m.json")]
         )
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("columns", [
+        ["--features", "x,y1", "--targets", "y1"],
+        ["--targets", ","],
+    ], ids=["overlap", "no-targets"])
+    def test_bad_column_selection_is_data_error(self, runner, tmp_path, columns):
+        data, _ = simulate(runner, tmp_path / "d.csv", n=50)
+        result = runner.invoke(
+            main, ["train", "--data", str(data), *columns, "--out", str(tmp_path / "m.json")]
+        )
+        assert result.exit_code == 3, result.output
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("option", [
+        ("simulate", "--n", "0"),
+        ("evaluate", "--alpha", "2"),
+        ("evaluate", "--alpha", "1"),
+        ("benchmark", "--reps", "0"),
+        ("benchmark", "--threads", "0"),
+        ("train", "--val-frac", "1.5"),
+        ("train", "--val-frac", "-0.5"),
+    ], ids=lambda option: " ".join(option))
+    def test_out_of_range_option_is_usage_error(self, runner, tmp_path, option):
+        command, *value = option
+        data, _ = simulate(runner, tmp_path / "d.csv", n=50)
+        model = stage_free_model(tmp_path)
+        out = str(tmp_path / "out")
+        args = {
+            "simulate": ["simulate", "--out", out],
+            "evaluate": ["evaluate", "--model", str(model), "--data", str(data), "--out", out],
+            "benchmark": ["benchmark", "--n-grid", "50", "--reps", "1", "--methods", "ngb",
+                          "--stages", "2", "--out", out],
+            "train": ["train", "--data", str(data), "--targets", "y1,y2", "--stages", "2",
+                      "--out", out],
+        }[command]
+        result = runner.invoke(main, [*args, *value])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_usage_error_exit_code(self, runner):
         result = runner.invoke(main, ["train"])

@@ -6,7 +6,6 @@ from scipy import stats
 
 from mvboost import distributions as dist
 from mvboost.distributions import (
-    DIAG_EPS,
     InvalidDimensionError,
     InvalidParameterError,
     MvnFamily,
@@ -70,18 +69,18 @@ class TestParamCount:
 
 class TestScaleMatrix:
     def test_identity_nu(self):
-        L = dist.build_scale_matrix(ThetaVector([0, 0, 0, 0, 0], 2)).entries
-        assert np.allclose(L, (1 + DIAG_EPS) * np.eye(2))
+        L = dist.scale_matrices(ThetaVector([0, 0, 0, 0, 0], 2).values, 2)[0]
+        assert np.allclose(L, np.eye(2))
 
     def test_mixed_entries(self):
         theta = ThetaVector([0, 0, np.log(2), 0.3, 0], 2)
-        L = dist.build_scale_matrix(theta).entries
-        assert np.allclose(L, [[2 + DIAG_EPS, 0.3], [0, 1 + DIAG_EPS]])
+        L = dist.scale_matrices(theta.values, 2)[0]
+        assert np.allclose(L, [[2, 0.3], [0, 1]])
 
     def test_extreme_negative_nu_still_invertible(self):
         theta = ThetaVector([0.0, -40.0], 1)
-        L = dist.build_scale_matrix(theta).entries
-        assert L[0, 0] == pytest.approx(DIAG_EPS, rel=1e-6)
+        L = dist.scale_matrices(theta.values, 1)[0]
+        assert L[0, 0] == np.exp(-40.0)
         # Cholesky of L^T L succeeds, i.e. all pivots positive
         np.linalg.cholesky(L.T @ L)
 
@@ -104,16 +103,22 @@ class TestMomentForm:
         rng = np.random.default_rng(0)
         theta = random_theta(rng, 3)
         mf = dist.to_moment_form(theta)
-        L = dist.build_scale_matrix(theta).entries
+        L = dist.scale_matrices(theta.values, 3)[0]
         assert np.allclose((L.T @ L) @ mf.covariance, np.eye(3), atol=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-40, 40), min_size=5, max_size=5))
     def test_always_spd(self, vals):
-        # extreme nu never produce a non-SPD covariance
+        # extreme nu give a covariance that is SPD up to rounding.  Cholesky
+        # is no test of that: at theta = (0, 0, 0, 2, -18) cond(Sigma) is
+        # about 1e17, and a factorization of the rounded matrix may fail.
         theta = ThetaVector([0.0, 0.0, vals[0], vals[1], vals[2]], 2)
-        mf = dist.to_moment_form(theta)
-        np.linalg.cholesky(mf.covariance + 0.0)
+        cov = dist.to_moment_form(theta).covariance
+        assert np.all(np.isfinite(cov))
+        assert np.array_equal(cov, cov.T)
+        assert np.all(np.diag(cov) > 0)
+        eig = np.linalg.eigvalsh(cov)
+        assert eig[0] >= -4 * np.finfo(float).eps * eig[-1]
 
 
 class TestNll:
@@ -154,7 +159,7 @@ class TestScore:
         p = 3
         rows, cols = dist.triu_layout(p)
         expected = np.zeros_like(g)
-        # exact log-det derivative is -exp(nu)/(exp(nu)+eps), within 1e-5 of -1
+        # at zero residual only the log-det term is left, exactly -1 per nu_ii
         assert np.allclose(g[:p], 0.0)
         assert np.allclose(g[p:][rows == cols], -1.0, atol=1e-5)
         assert np.allclose(g[p:][rows != cols], expected[p:][rows != cols])
@@ -392,7 +397,7 @@ class TestUnivariate:
 
     def test_nll_and_score_at_mode(self):
         theta = ThetaVector([0.0, 0.0], 1)
-        a = 1.0 + DIAG_EPS
+        a = 1.0
         assert dist.nll(theta, [0.0]) == pytest.approx(0.5 * LOG_2PI - np.log(a), rel=1e-12)
         assert np.allclose(dist.score(theta, [0.0]), [0.0, -1.0 / a], rtol=0, atol=1e-15)
 
@@ -412,7 +417,7 @@ class TestUnivariate:
         mc = np.cov(scores.T)
         F = dist.fisher_information(theta)
         assert np.allclose(F, mc, atol=0.05)
-        a = np.exp(0.4) + DIAG_EPS
+        a = np.exp(0.4)
         assert F[0, 0] == pytest.approx(a * a)
         assert F[1, 1] == pytest.approx(2.0 * np.exp(0.8) / (a * a))
 
@@ -420,7 +425,7 @@ class TestUnivariate:
         # the p = 1 density is the normal with sigma = 1 / a_11
         mu, nu = 0.7, 0.3
         y = np.array([1.2])
-        sigma = 1.0 / (np.exp(nu) + DIAG_EPS)
+        sigma = 1.0 / np.exp(nu)
         assert dist.nll(ThetaVector([mu, nu], 1), y) == pytest.approx(
             -stats.norm.logpdf(y[0], mu, sigma), rel=1e-12
         )
@@ -452,6 +457,6 @@ class TestFamilies:
         y = 3.0 + 2.0 * rng.standard_normal((500, 1))
         theta = MvnFamily(1).marginal_init(y)
         assert theta[0] == pytest.approx(y.mean())
-        assert 1.0 / (np.exp(theta[1]) + DIAG_EPS) == pytest.approx(y.std(), rel=1e-10)
+        assert 1.0 / np.exp(theta[1]) == pytest.approx(y.std(), rel=1e-10)
         with pytest.raises(InvalidParameterError):
             MvnFamily(1).marginal_init(np.ones((5, 1)))

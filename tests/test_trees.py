@@ -40,7 +40,7 @@ def exhaustive_best_split(X, ys, min_leaf=1):
             sse = np.sum((ys[mask] - ys[mask].mean()) ** 2) + np.sum(
                 (ys[~mask] - ys[~mask].mean()) ** 2
             )
-            if best is None or sse < best[2] - 1e-12:
+            if best is None or sse < best[2] - 1e-12 * best[2]:
                 best = (feat, threshold, sse)
     return best
 
@@ -199,7 +199,7 @@ def reference_tree(X, ys, params, depth=0):
     if depth >= params.max_depth or n < max(params.min_samples_split, 2 * params.min_samples_leaf):
         return leaf
     parent_sse = float(np.sum((ys - ys.mean()) ** 2))
-    if parent_sse <= trees._GAIN_TOL * max(1.0, float(np.sum(ys * ys))):
+    if parent_sse <= trees._GAIN_TOL * float(np.sum(ys * ys)):
         return leaf
     best = None
     sizes = np.arange(1, n, dtype=float)
@@ -217,7 +217,7 @@ def reference_tree(X, ys, params, depth=0):
             pos = int(np.argmin(np.where(valid, sse, np.inf)))
             if best is None or sse[pos] < best[2]:
                 best = (feat, float(0.5 * (xs[pos] + xs[pos + 1])), sse[pos])
-    if best is None or parent_sse - best[2] <= trees._GAIN_TOL * max(1.0, parent_sse):
+    if best is None or parent_sse - best[2] <= trees._GAIN_TOL * parent_sse:
         return leaf
     mask = X[:, best[0]] <= best[1]
     return Split(best[0], best[1], reference_tree(X[mask], ys[mask], params, depth + 1),
