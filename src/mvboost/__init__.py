@@ -11,7 +11,6 @@ from .boosting import (
 )
 from .distributions import (
     MomentForm,
-    MvnFamily,
     ThetaVector,
     fisher_information,
     fit_theta_from_moments,

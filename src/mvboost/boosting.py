@@ -11,8 +11,8 @@ Early stopping watches mean validation negative log-likelihood with a
 patience; the model keeps only the stages up to the best validation point and
 is never refit after selection.  Setting ``natural_gradient=False`` gives the
 plain-gradient ablation.  The independent baseline fits each target column
-with the same Gaussian family at p = 1 and assembles a diagonal-covariance
-model from the columns.  Fits are deterministic given their inputs.
+as a p = 1 Gaussian and assembles a diagonal-covariance model from the
+columns.  Fits are deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import InvalidParameterError, MvnFamily, param_count
+from . import distributions
+from .distributions import InvalidParameterError, param_count
 from .trees import RegressionTree, TreeParams, fit_tree, predict_tree_batch
 
 # rho candidates for the stage line search: {2^k : k = -10..5}; includes 1.
@@ -76,21 +77,22 @@ class BoostModel:
         return self.theta0.shape[0]
 
 
-def line_search(theta_batch, directions_batch, Y_batch, family) -> float:
-    """argmin over the candidate grid of the total score after a rho step.
+def line_search(theta_batch, directions_batch, Y_batch) -> float:
+    """argmin over the candidate grid of the total NLL after a rho step.
 
     If every candidate worsens the current total, returns the smallest
     candidate (2^-10) so the stage contributes a negligible step.
     """
     theta_batch = np.atleast_2d(np.asarray(theta_batch, dtype=float))
     directions_batch = np.atleast_2d(np.asarray(directions_batch, dtype=float))
-    baseline = float(np.sum(family.nll(theta_batch, Y_batch)))
+    p = np.shape(Y_batch)[1]
+    baseline = float(np.sum(distributions.nll_batch(theta_batch, Y_batch, p)))
     best_rho = LINE_SEARCH_GRID[0]
     best_total = np.inf
     for rho in LINE_SEARCH_GRID:
         trial = theta_batch - rho * directions_batch
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            totals = family.nll(trial, Y_batch)
+            totals = distributions.nll_batch(trial, Y_batch, p)
         total = float(np.sum(totals))
         if not np.isfinite(total):
             continue
@@ -106,13 +108,12 @@ def _stage_predictions(trees, X):
     return np.column_stack([predict_tree_batch(t, X) for t in trees])
 
 
-def fit(X_train, Y_train, X_val=None, Y_val=None, config: BoostConfig | None = None,
-        family=None) -> BoostModel:
-    """Run the boosting loop for one distribution family.
+def fit(X_train, Y_train, X_val=None, Y_val=None,
+        config: BoostConfig | None = None) -> BoostModel:
+    """Run the boosting loop for the Gaussian over Y_train's p columns.
 
-    ``family`` defaults to the multivariate Gaussian sized from Y_train's
-    column count, p = 1 included.  With an empty validation set there is no
-    early stopping and all fitted stages are used.
+    A 1-D Y_train is one column, p = 1.  With an empty validation set there
+    is no early stopping and all fitted stages are used.
     """
     config = config or BoostConfig()
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
@@ -121,8 +122,7 @@ def fit(X_train, Y_train, X_val=None, Y_val=None, config: BoostConfig | None = N
         Y_train = Y_train[:, None]
     if X_train.shape[0] != Y_train.shape[0]:
         raise ValueError("X_train and Y_train row counts differ")
-    if family is None:
-        family = MvnFamily(Y_train.shape[1])
+    p = Y_train.shape[1]
 
     have_val = X_val is not None and Y_val is not None and len(np.atleast_1d(Y_val)) > 0
     if have_val:
@@ -132,9 +132,9 @@ def fit(X_train, Y_train, X_val=None, Y_val=None, config: BoostConfig | None = N
             Y_val = Y_val[:, None]
 
     order = np.argsort(X_train, axis=0, kind="stable")  # shared by every tree
-    theta0 = family.marginal_init(Y_train)
+    theta0 = distributions.marginal_mle(Y_train).values
     thetas = np.tile(theta0, (X_train.shape[0], 1))
-    train_path = [float(np.mean(family.nll(thetas, Y_train)))]
+    train_path = [float(np.mean(distributions.nll_batch(thetas, Y_train, p)))]
 
     stages: list[Stage] = []
     val_path: list[float] = []
@@ -142,31 +142,31 @@ def fit(X_train, Y_train, X_val=None, Y_val=None, config: BoostConfig | None = N
     best_val = np.inf
     if have_val:
         thetas_val = np.tile(theta0, (X_val.shape[0], 1))
-        best_val = float(np.mean(family.nll(thetas_val, Y_val)))
+        best_val = float(np.mean(distributions.nll_batch(thetas_val, Y_val, p)))
         val_path.append(best_val)
 
     for b in range(1, config.n_stages_max + 1):
         if config.natural_gradient:
-            grads = family.natural_gradient(thetas, Y_train)
+            grads = distributions.natural_gradient_batch(thetas, Y_train, p)
         else:
-            grads = family.score(thetas, Y_train)
+            grads = distributions.score_batch(thetas, Y_train, p)
         finite_rows = np.all(np.isfinite(grads), axis=1)
         if not finite_rows.all():
             raise NonFiniteGradientError(b, int(np.argmin(finite_rows)))
 
         trees = tuple(
             fit_tree(X_train, grads[:, m], config.tree_params, order=order)
-            for m in range(family.n_params)
+            for m in range(param_count(p))
         )
         f_train = _stage_predictions(trees, X_train)
-        rho = line_search(thetas, f_train, Y_train, family)
+        rho = line_search(thetas, f_train, Y_train)
         thetas = thetas - config.learning_rate * rho * f_train
         stages.append(Stage(rho=rho, trees=trees))
-        train_path.append(float(np.mean(family.nll(thetas, Y_train))))
+        train_path.append(float(np.mean(distributions.nll_batch(thetas, Y_train, p))))
 
         if have_val:
             thetas_val = thetas_val - config.learning_rate * rho * _stage_predictions(trees, X_val)
-            val_nll = float(np.mean(family.nll(thetas_val, Y_val)))
+            val_nll = float(np.mean(distributions.nll_batch(thetas_val, Y_val, p)))
             val_path.append(val_nll)
             if val_nll < best_val:  # strict: ties keep the earlier, smaller model
                 best_val = val_nll
@@ -181,7 +181,7 @@ def fit(X_train, Y_train, X_val=None, Y_val=None, config: BoostConfig | None = N
         theta0=theta0,
         stages=tuple(stages),
         config=config,
-        family_tag=family.tag,
+        family_tag=f"mvn-{p}",
         best_stage=best_stage,
         n_features=X_train.shape[1],
         train_nll_path=tuple(train_path),
@@ -236,7 +236,5 @@ def fit_independent(X_train, Y_train, X_val=None, Y_val=None,
     models = []
     for j in range(Y_train.shape[1]):
         y_val_j = None if Y_val is None else np.asarray(Y_val, dtype=float)[:, j]
-        models.append(
-            fit(X_train, Y_train[:, j], X_val, y_val_j, config, family=MvnFamily(1))
-        )
+        models.append(fit(X_train, Y_train[:, j], X_val, y_val_j, config))
     return IndependentModel(models=tuple(models))

@@ -18,9 +18,9 @@ from . import boosting, metrics, simulation
 from .data_io import DataError, read_table, write_csv
 from .distributions import (
     InvalidParameterError,
+    covariance_batch,
     dim_from_param_count,
     nll_batch,
-    scale_matrices,
     triu_layout,
 )
 from .model_io import ModelFormatError, load_model, save_model
@@ -241,22 +241,23 @@ def cmd_predict(model_path, data_path, out, force):
     feature_cols = _feature_names(doc)
     target_cols = tuple(doc.get("target_names") or ())
     X = table.select(feature_cols)
-    thetas, p = _predict_joint_thetas(model, X)
-
-    rows_idx, cols_idx = triu_layout(p)
+    have_targets = target_cols and all(c in table.columns for c in target_cols)
+    # Overflow here surfaces as the non-finite output that _require_finite refuses.
+    with np.errstate(all="ignore"):
+        thetas, p = _predict_joint_thetas(model, X)
+        rows_idx, cols_idx = triu_layout(p)
+        values = np.concatenate(
+            [thetas, covariance_batch(thetas, p)[:, rows_idx, cols_idx]], axis=1
+        )
+        if have_targets:
+            values = np.column_stack(
+                [values, nll_batch(thetas, table.select(target_cols), p)]
+            )
     columns = [f"mu{i + 1}" for i in range(p)]
     columns += [f"nu{i + 1}{j + 1}" for i, j in zip(rows_idx, cols_idx)]
     columns += [f"sigma{i + 1}{j + 1}" for i, j in zip(rows_idx, cols_idx)]
-    L_inv = np.linalg.inv(scale_matrices(thetas, p))
-    sigma = np.einsum("nik,njk->nij", L_inv, L_inv)
-    values = np.concatenate(
-        [thetas, sigma[:, rows_idx, cols_idx]], axis=1
-    )
-    have_targets = target_cols and all(c in table.columns for c in target_cols)
     if have_targets:
-        Y = table.select(target_cols)
         columns.append("nll")
-        values = np.column_stack([values, nll_batch(thetas, Y, p)])
     _require_finite(values, "predicted theta, sigma or nll")
     write_csv(out, columns, [tuple(map(float, row)) for row in values])
     click.echo(f"wrote {values.shape[0]} predictions to {out}")
@@ -284,7 +285,6 @@ def cmd_evaluate(model_path, data_path, truth_path, alpha, out, force):
         raise DataError("evaluate requires the model's target columns in the data file")
     X = table.select(feature_cols)
     Y = table.select(target_cols)
-    thetas, p = _predict_joint_thetas(model, X)
 
     thetas_true = None
     if truth_path:
@@ -294,7 +294,10 @@ def cmd_evaluate(model_path, data_path, truth_path, alpha, out, force):
             raise DataError("truth sidecar row count differs from dataset")
         thetas_true = simulation.thetas_from_moments(*moments.T)
 
-    report = metrics.evaluate(thetas, Y, thetas_true, alpha=alpha)
+    # Overflow here surfaces as the non-finite metric that _require_finite refuses.
+    with np.errstate(all="ignore"):
+        thetas, _ = _predict_joint_thetas(model, X)
+        report = metrics.evaluate(thetas, Y, thetas_true, alpha=alpha)
     label = f"{report.pr_alpha * 100:.0f}% PR"
     lines = [
         ("NLL", report.nll_mean),
@@ -317,20 +320,34 @@ def cmd_evaluate(model_path, data_path, truth_path, alpha, out, force):
         write_csv(out, header, [row])
 
 
-# Full-scale plan: the complete N grid with 50 replications.
-FULL_N_GRID = (500, 1000, 3000, 5000, 8000, 10000)
-FULL_REPLICATIONS = 50
+def _parse_n_grid(ctx, param, value):
+    try:
+        grid = tuple(int(v) for v in _parse_columns(value))
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a comma-separated list of integers") from None
+    if not grid or min(grid) < 1:
+        raise click.BadParameter(f"{value!r} must list positive training sizes")
+    return grid
+
+
+def _parse_methods(ctx, param, value):
+    methods = _parse_columns(value)
+    unknown = sorted(set(methods) - set(simulation.METHODS))
+    if not methods or unknown:
+        raise click.BadParameter(
+            f"{value!r} must list methods from {', '.join(simulation.METHODS)}"
+        )
+    return methods
 
 
 @main.command("benchmark")
 @click.option("--n-grid", default="500,1000,5000", show_default=True,
-              help="Comma-separated training sizes.")
+              callback=_parse_n_grid, help="Comma-separated training sizes.")
 @click.option("--reps", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--methods", default="ngb,indep-ngb,plain-gb", show_default=True)
+@click.option("--methods", default="ngb,indep-ngb,plain-gb", show_default=True,
+              callback=_parse_methods, help="Comma-separated methods to compare.")
 @click.option("--variant", type=click.Choice(simulation.VARIANTS), default="modified",
               show_default=True)
-@click.option("--full-table1", is_flag=True,
-              help="Run the full-scale plan (N up to 10000, 50 replications).")
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker processes for independent cells.")
 @_config_options
@@ -338,18 +355,13 @@ FULL_REPLICATIONS = 50
               help="Output directory for results CSVs.")
 @click.option("--force", is_flag=True)
 @_handle_errors
-def cmd_benchmark(n_grid, reps, methods, variant, full_table1, threads, stages,
-                  learning_rate, patience, max_depth, min_samples_leaf, seed,
-                  out_dir, force):
+def cmd_benchmark(n_grid, reps, methods, variant, threads, stages, learning_rate,
+                  patience, max_depth, min_samples_leaf, seed, out_dir, force):
     """Run the replicated simulation comparison and write result tables."""
-    if full_table1:
-        grid, reps = FULL_N_GRID, FULL_REPLICATIONS
-    else:
-        grid = tuple(int(v) for v in _parse_columns(n_grid))
     plan = simulation.ExperimentPlan(
-        n_train_grid=grid,
+        n_train_grid=n_grid,
         replications=reps,
-        methods=tuple(_parse_columns(methods)),
+        methods=methods,
         variant=variant,
         master_seed=seed,
         config=_build_config(stages, learning_rate, patience, max_depth,

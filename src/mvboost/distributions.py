@@ -117,7 +117,8 @@ def scale_matrices(thetas: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _whiten(thetas, Ys, p):
+def whiten_batch(thetas, Ys, p):
+    """Factors L, residuals z = mu - y and whitened residuals eta = L z, per row."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     Ys = np.atleast_2d(np.asarray(Ys, dtype=float))
     if Ys.shape[1] != p or Ys.shape[0] != thetas.shape[0]:
@@ -132,7 +133,7 @@ def _whiten(thetas, Ys, p):
 
 def nll_batch(thetas, Ys, p) -> np.ndarray:
     """Per-row negative log-likelihood: sum_i(eta_i^2/2 - log a_ii) + const."""
-    L, _, eta = _whiten(thetas, Ys, p)
+    L, _, eta = whiten_batch(thetas, Ys, p)
     diag = L[:, np.arange(p), np.arange(p)]
     return 0.5 * np.sum(eta * eta, axis=1) - np.sum(np.log(diag), axis=1) + 0.5 * p * _LOG_2PI
 
@@ -145,7 +146,7 @@ def score_batch(thetas, Ys, p) -> np.ndarray:
     d/d nu_ii = eta_i z_i a_ii - 1.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    L, z, eta = _whiten(thetas, Ys, p)
+    L, z, eta = whiten_batch(thetas, Ys, p)
     rows, cols = triu_layout(p)
     diag = rows == cols
     grad = np.empty_like(thetas)
@@ -154,6 +155,16 @@ def score_batch(thetas, Ys, p) -> np.ndarray:
     g_nu[:, diag] = g_nu[:, diag] * L[:, np.arange(p), np.arange(p)] - 1.0
     grad[:, p:] = g_nu
     return grad
+
+
+def covariance_batch(thetas, p) -> np.ndarray:
+    """Covariances Sigma = L^{-1} L^{-T}, (n, p, p).
+
+    Inverting L rather than L^T L keeps Sigma accurate when the diagonal of L
+    spans many orders of magnitude.
+    """
+    inv_l = np.linalg.inv(scale_matrices(thetas, p))
+    return np.einsum("nik,njk->nij", inv_l, inv_l)
 
 
 def fisher_batch(thetas, p) -> np.ndarray:
@@ -173,10 +184,7 @@ def fisher_batch(thetas, p) -> np.ndarray:
     m = param_count(p)
     L = scale_matrices(thetas, p)
     prec = np.einsum("nki,nkj->nij", L, L)
-    # Sigma = L^{-1} L^{-T}: inverting L rather than L^T L keeps Sigma accurate
-    # when the diagonal of L spans many orders of magnitude.
-    inv_l = np.linalg.inv(L)
-    sigma = np.einsum("nik,njk->nij", inv_l, inv_l)
+    sigma = covariance_batch(thetas, p)
     rows, cols = triu_layout(p)
     a_diag = L[:, np.arange(p), np.arange(p)]
 
@@ -211,7 +219,7 @@ def natural_gradient_batch(thetas, Ys, p) -> np.ndarray:
     chain factor exp(nu_ii).
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    L, z, eta = _whiten(thetas, Ys, p)
+    L, z, eta = whiten_batch(thetas, Ys, p)
     rows, cols = triu_layout(p)
     idx = np.arange(p)
     # gradient of the NLL in the entries of L
@@ -274,12 +282,7 @@ def sample(theta: ThetaVector, n: int, rng_seed) -> np.ndarray:
     """n i.i.d. draws from the distribution at theta, (n, p)."""
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    rng = _as_rng(rng_seed)
-    p = theta.dim_p
-    L = scale_matrices(theta.values, p)[0]
-    u = rng.standard_normal((n, p))
-    w = solve_triangular(L, u.T, lower=False).T
-    return theta.mean + w
+    return sample_each(np.tile(theta.values, (n, 1)), theta.dim_p, _as_rng(rng_seed))
 
 
 def fit_theta_from_moments(mean, covariance) -> ThetaVector:
@@ -363,8 +366,7 @@ def kl_divergence_batch(thetas_true, thetas_pred, p) -> np.ndarray:
         raise InvalidParameterError("theta batches must have matching shapes")
     l_true = scale_matrices(thetas_true, p)
     l_pred = scale_matrices(thetas_pred, p)
-    inv_lt = np.linalg.solve(l_true, np.broadcast_to(np.eye(p), l_true.shape))
-    sigma_true = np.einsum("nik,njk->nij", inv_lt, inv_lt)
+    sigma_true = covariance_batch(thetas_true, p)
     delta = thetas_pred[:, :p] - thetas_true[:, :p]
     trace_term = np.einsum("nij,nij->n", np.einsum("nij,njk->nik", l_pred, sigma_true), l_pred)
     quad_term = np.sum(np.einsum("nij,nj->ni", l_pred, delta) ** 2, axis=1)
@@ -380,29 +382,3 @@ def _as_rng(rng_seed):
     if isinstance(rng_seed, np.random.Generator):
         return rng_seed
     return np.random.default_rng(rng_seed)
-
-
-# ---------------------------------------------------------------------------
-# family adapters consumed by the boosting loop
-# ---------------------------------------------------------------------------
-
-
-class MvnFamily:
-    """Multivariate Gaussian family for target dimension p."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.n_params = param_count(p)
-        self.tag = f"mvn-{p}"
-
-    def marginal_init(self, Y):
-        return marginal_mle(Y).values
-
-    def nll(self, thetas, Ys):
-        return nll_batch(thetas, Ys, self.p)
-
-    def score(self, thetas, Ys):
-        return score_batch(thetas, Ys, self.p)
-
-    def natural_gradient(self, thetas, Ys):
-        return natural_gradient_batch(thetas, Ys, self.p)

@@ -22,6 +22,7 @@ from .distributions import (
     kl_divergence_batch,
     nll_batch,
     scale_matrices,
+    whiten_batch,
 )
 
 
@@ -76,10 +77,8 @@ def chi2_quantile(p_dof: int, alpha: float) -> float:
 
 
 def mahalanobis_sq(thetas, Ys, p) -> np.ndarray:
-    """(y - mu)^T Sigma^{-1} (y - mu) per row, as ||L (y - mu)||^2."""
-    L = scale_matrices(thetas, p)
-    resid = np.atleast_2d(np.asarray(Ys, dtype=float)) - np.atleast_2d(thetas)[:, :p]
-    eta = np.einsum("nij,nj->ni", L, resid)
+    """(y - mu)^T Sigma^{-1} (y - mu) per row, as ||L (mu - y)||^2."""
+    _, _, eta = whiten_batch(thetas, Ys, p)
     return np.sum(eta * eta, axis=1)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,34 +27,24 @@ class ModelFormatError(ValueError):
     """Model file is malformed or from an unsupported format version."""
 
 
-def _config_to_dict(config: BoostConfig) -> dict:
-    return {
-        "n_stages_max": config.n_stages_max,
-        "learning_rate": config.learning_rate,
-        "patience": config.patience,
-        "natural_gradient": config.natural_gradient,
-        "tree_params": {
-            "max_depth": config.tree_params.max_depth,
-            "min_samples_leaf": config.tree_params.min_samples_leaf,
-            "min_samples_split": config.tree_params.min_samples_split,
-        },
-    }
-
-
 def _config_from_dict(data: dict) -> BoostConfig:
+    # Keys of removed settings (rng_seed, min_samples_split) in older files are ignored.
+    tree = data["tree_params"]
     return BoostConfig(
         n_stages_max=data["n_stages_max"],
         learning_rate=data["learning_rate"],
         patience=data["patience"],
         natural_gradient=data["natural_gradient"],
-        tree_params=TreeParams(**data["tree_params"]),
+        tree_params=TreeParams(
+            max_depth=tree["max_depth"], min_samples_leaf=tree["min_samples_leaf"]
+        ),
     )
 
 
 def _boost_model_to_dict(model: BoostModel) -> dict:
     return {
         "family": model.family_tag,
-        "config": _config_to_dict(model.config),
+        "config": asdict(model.config),
         "theta0": model.theta0.tolist(),
         "best_stage": model.best_stage,
         "n_features": model.n_features,

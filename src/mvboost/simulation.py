@@ -20,14 +20,14 @@ coverage and area) into per-cell and aggregate CSV tables.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import boosting, metrics
-from .distributions import MvnFamily, fit_theta_from_moments_batch, scale_matrices
+from .data_io import write_csv
+from .distributions import fit_theta_from_moments_batch, sample_each
 
 VARIANTS = ("modified", "williams-original")
 METHODS = ("ngb", "indep-ngb", "plain-gb")
@@ -114,9 +114,7 @@ def generate(n: int, variant: str = "modified", seed: int = 0) -> SimulatedDatas
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, np.pi, size=n)
     thetas = true_params_batch(x, variant)
-    L = scale_matrices(thetas, 2)
-    u = rng.standard_normal((n, 2))
-    Y = thetas[:, :2] + np.linalg.solve(L, u[..., None])[..., 0]
+    Y = sample_each(thetas, 2, rng)
     return SimulatedDataset(X=x[:, None], Y=Y, theta_true=thetas, variant=variant, seed=seed)
 
 
@@ -129,15 +127,11 @@ def _sub_seed(master: int, n_train: int, replication: int, role: str) -> int:
 
 def _fit_and_predict(method, data_train, data_val, X_test, config):
     if method == "ngb":
-        model = boosting.fit(
-            data_train.X, data_train.Y, data_val.X, data_val.Y, config, family=MvnFamily(2)
-        )
+        model = boosting.fit(data_train.X, data_train.Y, data_val.X, data_val.Y, config)
         return boosting.predict_theta(model, X_test)
     if method == "plain-gb":
         cfg = replace(config, natural_gradient=False)
-        model = boosting.fit(
-            data_train.X, data_train.Y, data_val.X, data_val.Y, cfg, family=MvnFamily(2)
-        )
+        model = boosting.fit(data_train.X, data_train.Y, data_val.X, data_val.Y, cfg)
         return boosting.predict_theta(model, X_test)
     if method == "indep-ngb":
         model = boosting.fit_independent(
@@ -195,10 +189,13 @@ def run_experiment(plan: ExperimentPlan, out_path=None, workers: int = 1):
 
     aggregates = aggregate_rows(rows)
     if out_path is not None:
-        write_cell_csv(rows, out_path)
+        write_csv(out_path, CELL_CSV_COLUMNS + ["error"],
+                  [[r.get(c, "") for c in CELL_CSV_COLUMNS] + [r.get("error", "")]
+                   for r in rows])
         stem = str(out_path)
         agg_path = (stem[:-4] if stem.endswith(".csv") else stem) + "_aggregate.csv"
-        write_aggregate_csv(aggregates, agg_path)
+        write_csv(agg_path, AGG_CSV_COLUMNS,
+                  [[r[c] for c in AGG_CSV_COLUMNS] for r in aggregates])
     return rows, aggregates
 
 
@@ -219,26 +216,3 @@ def aggregate_rows(rows):
             )
     return out
 
-
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_cell_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CELL_CSV_COLUMNS + ["error"])
-        for r in rows:
-            writer.writerow(
-                [_fmt(r.get(c, "")) for c in CELL_CSV_COLUMNS] + [r.get("error", "")]
-            )
-
-
-def write_aggregate_csv(aggregates, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGG_CSV_COLUMNS)
-        for r in aggregates:
-            writer.writerow([_fmt(r[c]) for c in AGG_CSV_COLUMNS])

@@ -35,15 +35,12 @@ class EmptyTrainingSetError(ValueError):
 class TreeParams:
     max_depth: int = 3
     min_samples_leaf: int = 1
-    min_samples_split: int = 2
 
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -112,11 +109,7 @@ def _grow(XT, ys, rows, order, goes_left, params, depth):
     """
     node_ys = ys[rows]
     n = node_ys.shape[0]
-    if (
-        depth >= params.max_depth
-        or n < params.min_samples_split
-        or n < 2 * params.min_samples_leaf
-    ):
+    if depth >= params.max_depth or n < 2 * params.min_samples_leaf:
         return Leaf(float(node_ys.mean()))
     parent_sse = _node_sse(node_ys)
     if parent_sse <= _GAIN_TOL * float(np.sum(node_ys * node_ys)):

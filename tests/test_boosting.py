@@ -15,7 +15,7 @@ from mvboost.boosting import (
     predict_theta,
 )
 from mvboost.distributions import (
-    MvnFamily,
+    marginal_mle,
     nll_batch,
     param_count,
     scale_matrices,
@@ -24,18 +24,17 @@ from mvboost.simulation import generate
 from mvboost.trees import TreeParams
 
 
-class _QuadraticFamily:
-    """Toy family with nll = 0.5 (theta - y)^2 summed over components.
+def _unit_gaussian_rows(mus):
+    """p = 1 thetas with nu = 0: the NLL is 0.5 (mu - y)^2 + const per row.
 
-    For directions d = theta - y the exact minimizing step is rho = 1.
+    With directions only in mu the line search then minimizes
+    0.5 sum (mu - rho d - y)^2, so for d = mu - y the exact step is rho = 1.
     """
+    return np.column_stack([mus, np.zeros_like(mus)])
 
-    tag = "quadratic"
-    n_params = 2
 
-    def nll(self, thetas, Ys):
-        diff = np.atleast_2d(thetas) - np.atleast_2d(Ys)
-        return 0.5 * np.sum(diff * diff, axis=1)
+def _mean_directions(ds):
+    return np.column_stack([ds, np.zeros_like(ds)])
 
 
 def small_dataset(n=200, seed=0):
@@ -58,36 +57,37 @@ class TestLineSearch:
 
     def test_quadratic_picks_unit_step(self):
         rng = np.random.default_rng(0)
-        thetas = rng.normal(size=(30, 2))
-        Ys = rng.normal(size=(30, 2))
-        rho = line_search(thetas, thetas - Ys, Ys, _QuadraticFamily())
+        mus = rng.normal(size=30)
+        Ys = rng.normal(size=(30, 1))
+        thetas = _unit_gaussian_rows(mus)
+        rho = line_search(thetas, _mean_directions(mus - Ys[:, 0]), Ys)
         assert rho == 1.0
 
     def test_half_direction_doubles_step(self):
         rng = np.random.default_rng(1)
-        thetas = rng.normal(size=(30, 2))
-        Ys = rng.normal(size=(30, 2))
-        rho = line_search(thetas, 0.5 * (thetas - Ys), Ys, _QuadraticFamily())
+        mus = rng.normal(size=30)
+        Ys = rng.normal(size=(30, 1))
+        thetas = _unit_gaussian_rows(mus)
+        rho = line_search(thetas, _mean_directions(0.5 * (mus - Ys[:, 0])), Ys)
         assert rho == 2.0
 
     def test_no_improvement_returns_smallest(self):
-        thetas = np.zeros((5, 2))
-        Ys = np.zeros((5, 2))
+        thetas = _unit_gaussian_rows(np.zeros(5))
+        Ys = np.zeros((5, 1))
         # stepping away from the optimum only hurts
-        rho = line_search(thetas, np.ones((5, 2)), Ys, _QuadraticFamily())
+        rho = line_search(thetas, _mean_directions(np.ones(5)), Ys)
         assert rho == LINE_SEARCH_GRID[0]
 
     def test_skips_nonfinite_candidates(self):
         # large rho pushes nu so negative that variance overflows; the search
         # must still return a finite-scoring candidate
-        family = MvnFamily(1)
         thetas = np.tile([0.0, 0.0], (10, 1))
         Ys = np.full((10, 1), 0.5)
         directions = np.tile([0.0, 60.0], (10, 1))
-        rho = line_search(thetas, directions, Ys, family)
+        rho = line_search(thetas, directions, Ys)
         assert rho in LINE_SEARCH_GRID
         trial = thetas - rho * directions
-        assert np.isfinite(family.nll(trial, Ys)).all()
+        assert np.isfinite(nll_batch(trial, Ys, 1)).all()
 
 
 class TestFit:
@@ -101,8 +101,7 @@ class TestFit:
     def test_theta0_is_marginal_fit(self):
         X, Y = small_dataset()
         model = fit(X, Y, config=BoostConfig(n_stages_max=1))
-        family = MvnFamily(2)
-        assert np.allclose(model.theta0, family.marginal_init(Y))
+        assert np.allclose(model.theta0, marginal_mle(Y).values)
 
     def test_prediction_telescopes_stage_steps(self):
         X, Y = small_dataset(n=80)

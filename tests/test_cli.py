@@ -199,11 +199,14 @@ class TestTrainPredict:
         assert message in result.output
 
     def test_old_file_with_rng_seed_predicts_the_same(self, runner, tmp_path):
+        # files written before rng_seed and min_samples_split were removed
         data, _ = simulate(runner, tmp_path / "d.csv")
         model = train(runner, data, tmp_path / "m.json")
         doc = json.loads(model.read_text())
         assert "rng_seed" not in doc["model"]["config"]
+        assert "min_samples_split" not in doc["model"]["config"]["tree_params"]
         doc["model"]["config"]["rng_seed"] = 5
+        doc["model"]["config"]["tree_params"]["min_samples_split"] = 2
         old = tmp_path / "old.json"
         old.write_text(json.dumps(doc))
         outs = []
@@ -236,6 +239,7 @@ class TestTrainPredict:
             got = np.array([float(r[header.index(f"sigma{i + 1}{j + 1}")]) for r in rows])
             np.testing.assert_allclose(got, expected[i, j], rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_non_finite_prediction_is_numeric_failure(self, runner, tmp_path, command):
         # a finite theta whose a_11 = exp(1e300) overflows
@@ -415,6 +419,9 @@ class TestErrors:
         ("evaluate", "--alpha", "1"),
         ("benchmark", "--reps", "0"),
         ("benchmark", "--threads", "0"),
+        ("benchmark", "--n-grid", "0"),
+        ("benchmark", "--n-grid", "abc"),
+        ("benchmark", "--methods", "foo"),
         ("train", "--val-frac", "1.5"),
         ("train", "--val-frac", "-0.5"),
     ], ids=lambda option: " ".join(option))
@@ -477,3 +484,18 @@ class TestBenchmark:
         agg_header, agg_rows = read_csv(out / "results_aggregate.csv")
         assert agg_header == ["N", "method", "metric", "mean", "stderr"]
         assert "mean test KL divergence" in result.output
+
+    def test_worker_processes_give_identical_tables(self, runner, tmp_path):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"bench{threads}"
+            result = runner.invoke(
+                main,
+                ["benchmark", "--n-grid", "60,80", "--reps", "2", "--methods", "ngb,indep-ngb",
+                 "--stages", "5", "--patience", "5", "--learning-rate", "0.1",
+                 "--threads", threads, "--out", str(out)],
+            )
+            assert result.exit_code == 0, result.output
+            outs.append(((out / "results.csv").read_bytes(),
+                         (out / "results_aggregate.csv").read_bytes()))
+        assert outs[0] == outs[1]

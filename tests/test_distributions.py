@@ -8,7 +8,6 @@ from mvboost import distributions as dist
 from mvboost.distributions import (
     InvalidDimensionError,
     InvalidParameterError,
-    MvnFamily,
     ThetaVector,
 )
 
@@ -432,31 +431,31 @@ class TestUnivariate:
 
 
 class TestFamilies:
+    """The batch functions that boosting.fit calls, at p = 2 and p = 1."""
+
     def test_mvn_family_batch_shapes(self):
-        fam = MvnFamily(2)
         rng = np.random.default_rng(20)
         thetas = rng.normal(size=(7, 5))
         Ys = rng.normal(size=(7, 2))
-        assert fam.nll(thetas, Ys).shape == (7,)
-        assert fam.score(thetas, Ys).shape == (7, 5)
-        assert fam.natural_gradient(thetas, Ys).shape == (7, 5)
+        assert dist.nll_batch(thetas, Ys, 2).shape == (7,)
+        assert dist.score_batch(thetas, Ys, 2).shape == (7, 5)
+        assert dist.natural_gradient_batch(thetas, Ys, 2).shape == (7, 5)
 
     def test_univariate_family_natural_gradient(self):
         # at p = 1 the Fisher is diagonal, so the natural gradient is score / F_kk
-        fam = MvnFamily(1)
         thetas = np.array([[0.0, 0.5]])
         ys = np.array([[2.0]])
-        g = fam.score(thetas, ys)[0]
+        g = dist.score_batch(thetas, ys, 1)[0]
         F = dist.fisher_batch(thetas, 1)[0]
-        ng = fam.natural_gradient(thetas, ys)[0]
+        ng = dist.natural_gradient_batch(thetas, ys, 1)[0]
         assert ng[0] == pytest.approx(g[0] / F[0, 0], rel=1e-12)
         assert ng[1] == pytest.approx(g[1] / F[1, 1], rel=1e-12)
 
     def test_univariate_marginal_init(self):
         rng = np.random.default_rng(21)
         y = 3.0 + 2.0 * rng.standard_normal((500, 1))
-        theta = MvnFamily(1).marginal_init(y)
+        theta = dist.marginal_mle(y).values
         assert theta[0] == pytest.approx(y.mean())
         assert 1.0 / np.exp(theta[1]) == pytest.approx(y.std(), rel=1e-10)
         with pytest.raises(InvalidParameterError):
-            MvnFamily(1).marginal_init(np.ones((5, 1)))
+            dist.marginal_mle(np.ones((5, 1)))

@@ -196,7 +196,7 @@ def reference_tree(X, ys, params, depth=0):
     and scans it with the same SSE formula and tie-breaks."""
     n = ys.shape[0]
     leaf = Leaf(float(ys.mean()))
-    if depth >= params.max_depth or n < max(params.min_samples_split, 2 * params.min_samples_leaf):
+    if depth >= params.max_depth or n < 2 * params.min_samples_leaf:
         return leaf
     parent_sse = float(np.sum((ys - ys.mean()) ** 2))
     if parent_sse <= trees._GAIN_TOL * float(np.sum(ys * ys)):
