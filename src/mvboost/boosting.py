@@ -105,7 +105,11 @@ def line_search(theta_batch, directions_batch, Y_batch) -> float:
 
 
 def _stage_predictions(trees, X):
-    return np.column_stack([predict_tree_batch(t, X) for t in trees])
+    """The (n, M) predictions of one stage's trees; X is best column-major."""
+    out = np.empty((X.shape[0], len(trees)))
+    for m, tree in enumerate(trees):
+        out[:, m] = predict_tree_batch(tree, X)
+    return out
 
 
 def fit(X_train, Y_train, X_val=None, Y_val=None,
@@ -116,7 +120,8 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
     is no early stopping and all fitted stages are used.
     """
     config = config or BoostConfig()
-    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
+    # Column-major: tree growth and prediction read X one feature at a time.
+    X_train = np.asfortranarray(np.atleast_2d(np.asarray(X_train, dtype=float)))
     Y_train = np.asarray(Y_train, dtype=float)
     if Y_train.ndim == 1:
         Y_train = Y_train[:, None]
@@ -126,7 +131,7 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
 
     have_val = X_val is not None and Y_val is not None and len(np.atleast_1d(Y_val)) > 0
     if have_val:
-        X_val = np.atleast_2d(np.asarray(X_val, dtype=float))
+        X_val = np.asfortranarray(np.atleast_2d(np.asarray(X_val, dtype=float)))
         Y_val = np.asarray(Y_val, dtype=float)
         if Y_val.ndim == 1:
             Y_val = Y_val[:, None]
@@ -191,7 +196,7 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
 
 def predict_theta(model: BoostModel, X) -> np.ndarray:
     """Per-row theta, using stages up to best_stage only; (n, M)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.asfortranarray(np.atleast_2d(np.asarray(X, dtype=float)))
     if X.shape[1] != model.n_features:
         raise ValueError(
             f"model expects {model.n_features} features, got {X.shape[1]}"

@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .boosting import BoostConfig, BoostModel, IndependentModel, Stage
-from .distributions import param_count
+from .distributions import dim_from_param_count, param_count
 from .trees import TreeParams, tree_from_dict, tree_to_dict
 
 FORMAT_VERSION = 2
@@ -31,12 +31,13 @@ def _config_from_dict(data: dict) -> BoostConfig:
     # Keys of removed settings (rng_seed, min_samples_split) in older files are ignored.
     tree = data["tree_params"]
     return BoostConfig(
-        n_stages_max=data["n_stages_max"],
-        learning_rate=data["learning_rate"],
-        patience=data["patience"],
-        natural_gradient=data["natural_gradient"],
+        n_stages_max=_typed(data, "n_stages_max", int),
+        learning_rate=_typed(data, "learning_rate", int, float),
+        patience=_typed(data, "patience", int),
+        natural_gradient=_typed(data, "natural_gradient", bool),
         tree_params=TreeParams(
-            max_depth=tree["max_depth"], min_samples_leaf=tree["min_samples_leaf"]
+            max_depth=_typed(tree, "max_depth", int),
+            min_samples_leaf=_typed(tree, "min_samples_leaf", int),
         ),
     )
 
@@ -60,17 +61,18 @@ def _boost_model_to_dict(model: BoostModel) -> dict:
 def _boost_model_from_dict(data: dict) -> BoostModel:
     try:
         model = BoostModel(
-            theta0=np.asarray(data["theta0"], dtype=float),
+            theta0=np.asarray(_numbers(data["theta0"], "theta0"), dtype=float),
             stages=tuple(
-                Stage(rho=float(s["rho"]), trees=tuple(tree_from_dict(t) for t in s["trees"]))
-                for s in data["stages"]
+                Stage(rho=float(_typed(s, "rho", int, float)),
+                      trees=tuple(tree_from_dict(t) for t in _typed(s, "trees", list)))
+                for s in _typed(data, "stages", list)
             ),
             config=_config_from_dict(data["config"]),
             family_tag=data["family"],
-            best_stage=_integer(data, "best_stage"),
-            n_features=_integer(data, "n_features"),
-            train_nll_path=tuple(data.get("train_nll_path", ())),
-            val_nll_path=tuple(data.get("val_nll_path", ())),
+            best_stage=_typed(data, "best_stage", int),
+            n_features=_typed(data, "n_features", int),
+            train_nll_path=tuple(_numbers(data.get("train_nll_path", []), "train_nll_path")),
+            val_nll_path=tuple(_numbers(data.get("val_nll_path", []), "val_nll_path")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model record: {type(exc).__name__}: {exc}") from exc
@@ -78,11 +80,27 @@ def _boost_model_from_dict(data: dict) -> BoostModel:
     return model
 
 
-def _integer(data, key):
+def _typed(data, key, *types):
+    """``data[key]``, refused unless its type is one of ``types`` exactly.
+
+    Exact types, because JSON's true and false are Python bools, which
+    isinstance would pass as the integers 1 and 0.
+    """
     value = data[key]
-    if type(value) is not int:
-        raise TypeError(f"{key} must be an integer, got {value!r}")
+    if type(value) not in types:
+        kinds = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{key} must be {kinds}, got {value!r}")
     return value
+
+
+def _numbers(values, key):
+    """``values``, refused unless it is a list of JSON numbers."""
+    if type(values) is not list:
+        raise TypeError(f"{key} must be list, got {values!r}")
+    for value in values:
+        if type(value) not in (int, float):
+            raise TypeError(f"{key} must hold numbers, got {value!r}")
+    return values
 
 
 def _check_boost_model(model: BoostModel):
@@ -139,7 +157,7 @@ def model_from_dict(doc: dict):
     if not isinstance(doc, dict):
         raise ModelFormatError("a model file holds one JSON object")
     version = doc.get("format_version")
-    if not isinstance(version, int) or version < 1:
+    if type(version) is not int or version < 1:
         raise ModelFormatError("missing or invalid format_version")
     if version == 1:
         raise ModelFormatError(
@@ -163,7 +181,27 @@ def model_from_dict(doc: dict):
         model = _boost_model_from_dict(doc.get("model"))
     else:
         raise ModelFormatError(f"unknown model kind: {kind!r}")
+    _check_names(doc, model)
     return model, doc
+
+
+def _check_names(doc, model):
+    """Refuse column names that are not null or one string per feature or target."""
+    if isinstance(model, IndependentModel):
+        subs, p = model.models, model.p
+    else:
+        subs, p = (model,), dim_from_param_count(model.n_params)
+    n_features = {m.n_features for m in subs}
+    if len(n_features) != 1:
+        raise ModelFormatError(f"sub-models expect different feature counts {sorted(n_features)}")
+    for key, count in (("feature_names", n_features.pop()), ("target_names", p)):
+        names = doc.get(key)
+        if names is None:
+            continue
+        if type(names) is not list or not all(type(name) is str for name in names):
+            raise ModelFormatError(f"{key} must be null or a list of strings, got {names!r}")
+        if len(names) != count:
+            raise ModelFormatError(f"{key} lists {len(names)} names, the model has {count}")
 
 
 def save_model(model, path, **kwargs):

@@ -62,11 +62,6 @@ class RegressionTree:
     n_features: int
 
 
-def _node_sse(ys):
-    mean = ys.mean()
-    return float(np.sum((ys - mean) ** 2))
-
-
 def _best_split(XT, ys, order, min_leaf):
     """Best (feature, threshold, sse_children) over all features, or None.
 
@@ -107,35 +102,37 @@ def _grow(XT, ys, rows, order, goes_left, params, depth):
     ``order`` is the node's (d, n_node) per-feature sorted order of the same
     rows; ``goes_left`` is an N-long scratch mask shared by the whole tree.
     """
-    node_ys = ys[rows]
+    node_ys = ys.take(rows)
     n = node_ys.shape[0]
+    mean = node_ys.mean()
+    leaf = Leaf(float(mean))
     if depth >= params.max_depth or n < 2 * params.min_samples_leaf:
-        return Leaf(float(node_ys.mean()))
-    parent_sse = _node_sse(node_ys)
+        return leaf
+    parent_sse = float(np.sum((node_ys - mean) ** 2))
     if parent_sse <= _GAIN_TOL * float(np.sum(node_ys * node_ys)):
-        return Leaf(float(node_ys.mean()))
+        return leaf
     best = _best_split(XT, ys, order, params.min_samples_leaf)
     if best is None:
-        return Leaf(float(node_ys.mean()))
+        return leaf
     feat, threshold, sse_children = best
     if parent_sse - sse_children <= _GAIN_TOL * parent_sse:
-        return Leaf(float(node_ys.mean()))
-    mask = XT[feat, rows] <= threshold
-    if not mask.any() or mask.all():  # midpoint rounded onto a data value
-        return Leaf(float(node_ys.mean()))
+        return leaf
+    mask = XT[feat].take(rows) <= threshold
+    if np.count_nonzero(mask) in (0, n):  # midpoint rounded onto a data value
+        return leaf
     # A stable partition keeps every row of the order sorted by its feature.
-    # np.compress is the same selection as boolean indexing, several times
+    # compress is the same selection as boolean indexing, several times
     # faster on the unpredictable masks of a split.
     goes_left[rows] = mask
     in_left = goes_left[order].ravel()
     d = order.shape[0]
-    order_left = np.compress(in_left, order).reshape(d, -1)
-    order_right = np.compress(~in_left, order).reshape(d, -1)
+    order_left = order.compress(in_left).reshape(d, -1)
+    order_right = order.compress(~in_left).reshape(d, -1)
     return Split(
         feature_index=feat,
         threshold=threshold,
-        left=_grow(XT, ys, rows[mask], order_left, goes_left, params, depth + 1),
-        right=_grow(XT, ys, rows[~mask], order_right, goes_left, params, depth + 1),
+        left=_grow(XT, ys, rows.compress(mask), order_left, goes_left, params, depth + 1),
+        right=_grow(XT, ys, rows.compress(~mask), order_right, goes_left, params, depth + 1),
     )
 
 
@@ -176,7 +173,12 @@ def predict_tree(tree: RegressionTree, x) -> float:
 
 
 def predict_tree_batch(tree: RegressionTree, X) -> np.ndarray:
-    """Vectorized prediction for an (n, d) feature matrix."""
+    """Vectorized prediction for an (n, d) feature matrix.
+
+    Each split reads one feature column, so a column-major (Fortran-order) X,
+    whose columns are contiguous, predicts fastest; any layout gives the same
+    values.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.empty(X.shape[0])
     _predict_into(tree.root, X, np.arange(X.shape[0]), out)
@@ -187,9 +189,9 @@ def _predict_into(node, X, idx, out):
     if isinstance(node, Leaf):
         out[idx] = node.value
         return
-    mask = X[idx, node.feature_index] <= node.threshold
-    _predict_into(node.left, X, idx[mask], out)
-    _predict_into(node.right, X, idx[~mask], out)
+    mask = X[:, node.feature_index][idx] <= node.threshold
+    _predict_into(node.left, X, idx.compress(mask), out)
+    _predict_into(node.right, X, idx.compress(~mask), out)
 
 
 def tree_to_dict(tree: RegressionTree) -> dict:
@@ -209,13 +211,19 @@ def _node_to_dict(node):
 
 
 def tree_from_dict(data: dict) -> RegressionTree:
-    """Inverse of :func:`tree_to_dict`; a split on a feature the tree does not
-    have, or a non-finite leaf value or threshold, raises ValueError."""
+    """Inverse of :func:`tree_to_dict`; a field of the wrong JSON type, a split
+    on a feature the tree does not have, or a non-finite leaf value or
+    threshold raises ValueError."""
     n_features = data["n_features"]
+    if type(n_features) is not int:
+        raise ValueError(f"n_features must be an integer, got {n_features!r}")
     return RegressionTree(root=_node_from_dict(data["root"], n_features), n_features=n_features)
 
 
 def _finite(value, what):
+    # type(), not isinstance: a JSON true must not load as 1.0
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"non-finite {what} {value}")
@@ -225,9 +233,9 @@ def _finite(value, what):
 def _node_from_dict(data, n_features):
     if "leaf" in data:
         return Leaf(_finite(data["leaf"], "leaf value"))
-    feature = int(data["feature"])
-    if not 0 <= feature < n_features:
-        raise ValueError(f"split on feature {feature} of a {n_features}-feature tree")
+    feature = data["feature"]
+    if type(feature) is not int or not 0 <= feature < n_features:
+        raise ValueError(f"split on feature {feature!r} of a {n_features}-feature tree")
     return Split(
         feature_index=feature,
         threshold=_finite(data["threshold"], "threshold"),

@@ -236,6 +236,7 @@ def williams_run():
     return rows, aggregates
 
 
+@pytest.mark.slow
 def test_criterion_6_simulation_reproduction(modified_run):
     _, aggregates, elapsed = modified_run
     kl = _kl_means(aggregates)
@@ -258,6 +259,7 @@ def test_criterion_6_simulation_reproduction(modified_run):
             detail + (f"; failed: {failed}" if failed else ""))
 
 
+@pytest.mark.slow
 def test_criterion_7_ordering_on_original_variant(modified_run, williams_run):
     _, agg_mod, _ = modified_run
     _, agg_orig = williams_run
@@ -279,6 +281,7 @@ def test_criterion_7_ordering_on_original_variant(modified_run, williams_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_coverage_trend(modified_run):
     rows, _, _ = modified_run
     cov = {}

@@ -20,8 +20,11 @@ from mvboost.distributions import (
     param_count,
     scale_matrices,
 )
+from mvboost.model_io import model_to_dict
 from mvboost.simulation import generate
 from mvboost.trees import TreeParams
+
+from conftest import in_layout
 
 
 def _unit_gaussian_rows(mus):
@@ -133,6 +136,19 @@ class TestFit:
         model = fit(X, Y, config=BoostConfig(n_stages_max=2))
         with pytest.raises(ValueError, match="features"):
             predict_theta(model, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_memory_layout_of_x_does_not_matter(self, layout):
+        rng = np.random.default_rng(3)
+        X = np.round(rng.uniform(size=(240, 3)), 1)  # ties, as in real data
+        Y = np.column_stack([np.sin(3 * X[:, 0]), X[:, 1] * X[:, 2]])
+        Y += 0.2 * rng.standard_normal(Y.shape)
+        cfg = BoostConfig(n_stages_max=12, learning_rate=0.1, patience=20)
+        base = fit(X[:160], Y[:160], X[160:], Y[160:], cfg)
+        Xl = in_layout(X, layout)
+        model = fit(Xl[:160], Y[:160], Xl[160:], Y[160:], cfg)
+        assert model_to_dict(model) == model_to_dict(base)
+        assert np.array_equal(predict_theta(base, Xl), predict_theta(base, X))
 
     def test_plain_gradient_ablation_differs(self):
         X, Y = small_dataset(n=100)

@@ -1,11 +1,14 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mvboost.boosting import BoostConfig, BoostModel
+from mvboost.boosting import BoostConfig, BoostModel, IndependentModel
 from mvboost.cli import main
 from mvboost.distributions import ThetaVector, to_moment_form
 from mvboost.model_io import load_model, save_model
@@ -135,6 +138,21 @@ class TestTrainPredict:
         header, rows = read_csv(out)
         # diagonal model: off-diagonal scale entry is exactly zero
         assert all(float(r[header.index("nu12")]) == 0.0 for r in rows)
+
+    def test_independent_sub_models_with_other_feature_counts_rejected(self, runner, tmp_path):
+        subs = tuple(BoostModel(theta0=np.zeros(2), stages=(), config=BoostConfig(),
+                                family_tag="mvn-1", best_stage=0, n_features=d)
+                     for d in (1, 2))
+        path = tmp_path / "m.json"
+        save_model(IndependentModel(models=subs), path, feature_names=["x"],
+                   target_names=["y1", "y2"])
+        data, _ = simulate(runner, tmp_path / "d.csv", n=20)
+        result = runner.invoke(
+            main, ["predict", "--model", str(path), "--data", str(data),
+                   "--out", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == 3, result.output
+        assert "feature counts" in result.output
 
     def test_deleted_univariate_family_rejected(self, runner, tmp_path):
         # files saved with the removed (mu, log sigma) family must not be read
@@ -323,6 +341,102 @@ class TestTrainPredict:
         # training NLL is non-increasing over stages
         nlls = [float(r[2]) for r in rows]
         assert nlls[-1] <= nlls[0]
+
+
+DELETE = "<delete>"
+# Wrong types, NaN, infinities and out-of-range numbers for any field.
+MUTANT_VALUES = [DELETE, None, True, False, "x", [], {}, 0, -1, 2.5, 10**9, -10**9,
+                 1e300, -1e300, math.nan, math.inf, -math.inf]
+# Fields that loaded silently, or failed with a raw TypeError, before their
+# types were checked.
+WRONG_TYPED = [
+    (("feature_names",), 5),
+    (("target_names",), 5),
+    (("model", "stages", 0, "trees", 0, "root", "feature"), 0.5),
+    (("model", "stages", 0, "trees", 0, "root", "threshold"), True),
+    (("model", "config", "natural_gradient"), "x"),
+    (("model", "config", "tree_params", "max_depth"), 2.5),
+]
+# Name lists of the wrong length: too many feature names ended predict with a
+# raw ValueError, too few target names with a numeric failure (exit 4).
+WRONG_COUNT = [
+    (("feature_names",), ["x", "y1"]),
+    (("target_names",), ["y1"]),
+]
+
+
+def mutate(doc, path, value):
+    """Set the field at ``path`` to ``value``, or delete it for DELETE.
+
+    A string step is a dict key; an integer step k picks child k modulo the
+    number of children (dict keys in sorted order).  The walk stops early at
+    a field that holds no children.
+    """
+    node = doc
+    for depth, step in enumerate(path):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = step if isinstance(step, str) else keys[step % len(keys)]
+        child = node[key]
+        if depth == len(path) - 1 or not isinstance(child, (dict, list)) or not child:
+            break
+        node = child
+    if value == DELETE:
+        del node[key]
+    else:
+        node[key] = value
+
+
+@pytest.fixture(scope="module")
+def trained_files(tmp_path_factory):
+    """A dataset and the texts of a joint and an independent model trained on it."""
+    runner = CliRunner()
+    tmp = tmp_path_factory.mktemp("trained")
+    data, _ = simulate(runner, tmp / "d.csv", n=120)
+    texts = {}
+    for kind, extra in (("joint", []), ("independent", ["--independent"])):
+        texts[kind] = train(runner, data, tmp / f"{kind}.json", extra=extra).read_text()
+    return tmp, data, texts
+
+
+def predict_mutant(trained_files, kind, path, value):
+    """Run predict on the model of ``kind`` with one field mutated; return
+    the result and the output file."""
+    tmp, data, texts = trained_files
+    doc = json.loads(texts[kind])
+    mutate(doc, path, value)
+    bad, out = tmp / "mutant.json", tmp / "mutant_pred.csv"
+    bad.write_text(json.dumps(doc))
+    result = CliRunner().invoke(
+        main, ["predict", "--model", str(bad), "--data", str(data), "--out", str(out),
+               "--force"]
+    )
+    return result, out
+
+
+class TestModelFileMutants:
+    @pytest.mark.parametrize("path, value", WRONG_TYPED + WRONG_COUNT)
+    def test_malformed_field_is_data_error(self, trained_files, path, value):
+        result, _ = predict_mutant(trained_files, "joint", path, value)
+        assert result.exit_code == 3, result.output
+        assert "data error" in result.output
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["joint", "independent"]),
+           path=st.lists(st.integers(0, 63), min_size=1, max_size=10),
+           value=st.sampled_from(MUTANT_VALUES))
+    @example(kind="joint", path=WRONG_TYPED[0][0], value=WRONG_TYPED[0][1])
+    @example(kind="joint", path=WRONG_TYPED[1][0], value=WRONG_TYPED[1][1])
+    @example(kind="joint", path=WRONG_TYPED[2][0], value=WRONG_TYPED[2][1])
+    @example(kind="joint", path=WRONG_TYPED[3][0], value=WRONG_TYPED[3][1])
+    @example(kind="joint", path=WRONG_TYPED[4][0], value=WRONG_TYPED[4][1])
+    @example(kind="joint", path=WRONG_TYPED[5][0], value=WRONG_TYPED[5][1])
+    def test_mutant_predicts_finite_or_exits_typed(self, trained_files, kind, path, value):
+        result, out = predict_mutant(trained_files, kind, path, value)
+        # 0 success, 3 data error, 4 numeric failure; never 1 (a raw exception)
+        assert result.exit_code in (0, 3, 4), (result.output, result.exception)
+        if result.exit_code == 0:
+            _, rows = read_csv(out)
+            assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 class TestEvaluate:

@@ -10,6 +10,7 @@ from mvboost import trees
 from mvboost.trees import (
     EmptyTrainingSetError,
     Leaf,
+    RegressionTree,
     Split,
     TreeParams,
     fit_tree,
@@ -18,6 +19,8 @@ from mvboost.trees import (
     tree_from_dict,
     tree_to_dict,
 )
+
+from conftest import in_layout
 
 
 def training_sse(tree, X, ys):
@@ -173,6 +176,9 @@ class TestPredict:
         assert predict_tree(tree, [1.4]) == 0.0
         assert predict_tree(tree, [1.6]) == 10.0
         assert predict_tree(tree, [1.5]) == 0.0  # equality routes left
+        rows = np.array([[1.4], [1.5], [1.6]])
+        for layout in ("C", "F", "strided"):
+            assert predict_tree_batch(tree, in_layout(rows, layout)).tolist() == [0.0, 0.0, 10.0]
 
     def test_full_depth_memorizes(self):
         rng = np.random.default_rng(5)
@@ -274,6 +280,34 @@ class TestPresortedGrower:
         X = np.zeros((4, 2))
         with pytest.raises(ValueError, match="order"):
             fit_tree(X, np.arange(4.0), order=np.zeros((4, 1), dtype=int))
+
+
+def _splits(node):
+    if isinstance(node, Leaf):
+        return []
+    return [node] + _splits(node.left) + _splits(node.right)
+
+
+class TestPredictLayouts:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_problems(), st.sampled_from(["C", "F", "strided"]), st.booleans())
+    def test_batch_matches_rowwise_bit_for_bit(self, problem, layout, single_leaf):
+        X, ys, params = problem
+        if single_leaf:
+            tree = RegressionTree(root=Leaf(float(ys[0])), n_features=X.shape[1])
+        else:
+            tree = fit_tree(X, ys, params)
+        # rows that sit exactly on a split's threshold, which routes them left
+        on_threshold = []
+        for split in _splits(tree.root):
+            row = X[0].copy()
+            row[split.feature_index] = split.threshold
+            on_threshold.append(row)
+        rows = np.vstack([X, *on_threshold])
+        expected = np.array([predict_tree(tree, x) for x in rows])
+        batch_X = in_layout(rows, layout)
+        assert np.array_equal(predict_tree_batch(tree, batch_X), expected)
+        assert predict_tree_batch(tree, batch_X[:0]).shape == (0,)
 
 
 class TestSerialization:
