@@ -66,7 +66,6 @@ class BoostModel:
     theta0: np.ndarray
     stages: tuple[Stage, ...]
     config: BoostConfig
-    family_tag: str
     best_stage: int
     n_features: int
     train_nll_path: tuple[float, ...] = ()
@@ -75,6 +74,11 @@ class BoostModel:
     @property
     def n_params(self) -> int:
         return self.theta0.shape[0]
+
+    @property
+    def family_tag(self) -> str:
+        """The model file's name for the family: "mvn-<p>", p from theta0's length."""
+        return f"mvn-{distributions.dim_from_param_count(self.n_params)}"
 
 
 def line_search(theta_batch, directions_batch, Y_batch) -> float:
@@ -135,6 +139,9 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
         Y_val = np.asarray(Y_val, dtype=float)
         if Y_val.ndim == 1:
             Y_val = Y_val[:, None]
+        if X_val.shape[1] != X_train.shape[1] or Y_val.shape != (X_val.shape[0], p):
+            raise ValueError(f"X_val {X_val.shape} and Y_val {Y_val.shape} do not fit "
+                             f"X_train {X_train.shape} and Y_train {Y_train.shape}")
 
     order = np.argsort(X_train, axis=0, kind="stable")  # shared by every tree
     theta0 = distributions.marginal_mle(Y_train).values
@@ -186,7 +193,6 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
         theta0=theta0,
         stages=tuple(stages),
         config=config,
-        family_tag=f"mvn-{p}",
         best_stage=best_stage,
         n_features=X_train.shape[1],
         train_nll_path=tuple(train_path),
@@ -224,11 +230,11 @@ class IndependentModel:
         parts = [predict_theta(m, X) for m in self.models]
         n = parts[0].shape[0]
         out = np.zeros((n, param_count(p)))
-        pos = p
+        rows, cols = np.triu_indices(p)
+        diag = p + np.flatnonzero(rows == cols)  # theta positions of the nu_ii
         for i, part in enumerate(parts):
             out[:, i] = part[:, 0]
-            out[:, pos] = part[:, 1]
-            pos += p - i
+            out[:, diag[i]] = part[:, 1]
         return out
 
 
@@ -238,6 +244,8 @@ def fit_independent(X_train, Y_train, X_val=None, Y_val=None,
     Y_train = np.asarray(Y_train, dtype=float)
     if Y_train.ndim != 2 or Y_train.shape[1] < 1:
         raise InvalidParameterError("Y_train must be (n, p) with p >= 1")
+    if Y_val is not None and np.shape(Y_val)[1:] != Y_train.shape[1:]:
+        raise ValueError(f"Y_val {np.shape(Y_val)} does not fit Y_train {Y_train.shape}")
     models = []
     for j in range(Y_train.shape[1]):
         y_val_j = None if Y_val is None else np.asarray(Y_val, dtype=float)[:, j]

@@ -21,7 +21,6 @@ from .distributions import (
     covariance_batch,
     dim_from_param_count,
     nll_batch,
-    triu_layout,
 )
 from .model_io import ModelFormatError, load_model, save_model
 from .trees import TreeParams
@@ -166,8 +165,6 @@ def cmd_train(data_path, targets, features, val_file, val_frac, independent,
         raise DataError(f"columns used as both feature and target: {overlap}")
     X = table.select(feature_cols)
     Y = table.select(target_cols)
-    if Y.shape[0] <= Y.shape[1]:
-        raise DataError(f"need more rows ({Y.shape[0]}) than targets ({Y.shape[1]})")
 
     if val_file:
         val_table = read_table(val_file)
@@ -180,6 +177,8 @@ def cmd_train(data_path, targets, features, val_file, val_frac, independent,
         X, Y, X_val, Y_val = X[train_idx], Y[train_idx], X[val_idx], Y[val_idx]
     else:
         X_val = Y_val = None
+    if Y.shape[0] <= Y.shape[1]:
+        raise DataError(f"need more training rows ({Y.shape[0]}) than targets ({Y.shape[1]})")
 
     config = _build_config(stages, learning_rate, patience, max_depth,
                            min_samples_leaf, natural_gradient=not plain_gradient)
@@ -245,7 +244,7 @@ def cmd_predict(model_path, data_path, out, force):
     # Overflow here surfaces as the non-finite output that _require_finite refuses.
     with np.errstate(all="ignore"):
         thetas, p = _predict_joint_thetas(model, X)
-        rows_idx, cols_idx = triu_layout(p)
+        rows_idx, cols_idx = np.triu_indices(p)
         values = np.concatenate(
             [thetas, covariance_batch(thetas, p)[:, rows_idx, cols_idx]], axis=1
         )
@@ -288,6 +287,11 @@ def cmd_evaluate(model_path, data_path, truth_path, alpha, out, force):
 
     thetas_true = None
     if truth_path:
+        if len(target_cols) != 2:
+            raise DataError(
+                f"the truth sidecar holds bivariate moments; the model has {len(target_cols)} "
+                "targets"
+            )
         truth = read_table(truth_path)
         moments = truth.select(("mu1", "mu2", "var1", "var2", "rho"))
         if moments.shape[0] != Y.shape[0]:

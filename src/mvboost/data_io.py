@@ -40,6 +40,9 @@ def read_table(path) -> Table:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a CSV header") from None
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:
+            raise DataError(f"{path}: header repeats the column names {repeated}")
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row:

@@ -57,12 +57,6 @@ def dim_from_param_count(m: int) -> int:
     return p
 
 
-def triu_layout(p: int):
-    """Row/column indices of the nu entries in their theta ordering."""
-    rows, cols = np.triu_indices(p)
-    return rows, cols
-
-
 @dataclass(frozen=True)
 class ThetaVector:
     """One parameter vector theta for target dimension ``dim_p``."""
@@ -108,7 +102,7 @@ def scale_matrices(thetas: np.ndarray, p: int) -> np.ndarray:
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if not np.all(np.isfinite(thetas)):
         raise InvalidParameterError("theta entries must be finite")
-    rows, cols = triu_layout(p)
+    rows, cols = np.triu_indices(p)
     vals = thetas[:, p:].copy()
     diag = rows == cols
     vals[:, diag] = np.exp(vals[:, diag])
@@ -147,7 +141,7 @@ def score_batch(thetas, Ys, p) -> np.ndarray:
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     L, z, eta = whiten_batch(thetas, Ys, p)
-    rows, cols = triu_layout(p)
+    rows, cols = np.triu_indices(p)
     diag = rows == cols
     grad = np.empty_like(thetas)
     grad[:, :p] = np.einsum("nji,nj->ni", L, eta)
@@ -185,7 +179,7 @@ def fisher_batch(thetas, p) -> np.ndarray:
     L = scale_matrices(thetas, p)
     prec = np.einsum("nki,nkj->nij", L, L)
     sigma = covariance_batch(thetas, p)
-    rows, cols = triu_layout(p)
+    rows, cols = np.triu_indices(p)
     a_diag = L[:, np.arange(p), np.arange(p)]
 
     fisher = np.zeros((n, m, m))
@@ -220,7 +214,7 @@ def natural_gradient_batch(thetas, Ys, p) -> np.ndarray:
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     L, z, eta = whiten_batch(thetas, Ys, p)
-    rows, cols = triu_layout(p)
+    rows, cols = np.triu_indices(p)
     idx = np.arange(p)
     # gradient of the NLL in the entries of L
     G = np.triu(eta[:, :, None] * z[:, None, :])
@@ -313,7 +307,7 @@ def fit_theta_from_moments_batch(means, covs) -> np.ndarray:
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
     p = means.shape[1]
-    rows, cols = triu_layout(p)
+    rows, cols = np.triu_indices(p)
     diag = rows == cols
     nus = _precision_factors(covs, p)[:, rows, cols]
     nus[:, diag] = np.log(nus[:, diag])

@@ -1,8 +1,11 @@
-"""Versioned JSON persistence for fitted models.
+"""Versioned JSON persistence for fitted models; the one owner of the file format.
 
-Human-diffable text format; trees are stored as nested node records.  The
-round trip save -> load -> save is byte-identical (floats serialize via their
-shortest exact repr), and loading a newer format version than this code
+Human-diffable text format; trees are stored as nested node records, which
+this module alone writes and reads.  Each field is checked once, as it is
+read: a missing key, a value of the wrong JSON type or out of range, or a
+part that does not fit the rest of the model raises :class:`ModelFormatError`.
+The round trip save -> load -> save is byte-identical (floats serialize via
+their shortest exact repr), and loading a newer format version than this code
 supports is an error.  Version 1 files are refused as well: their nu_ii meant
 log(a_ii - 1e-6), under a diagonal floor this version no longer has.
 """
@@ -11,14 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import asdict
 
 import numpy as np
 
 from .boosting import BoostConfig, BoostModel, IndependentModel, Stage
-from .distributions import dim_from_param_count, param_count
-from .trees import TreeParams, tree_from_dict, tree_to_dict
+from .distributions import dim_from_param_count
+from .trees import Leaf, RegressionTree, Split, TreeParams
 
 FORMAT_VERSION = 2
 
@@ -27,17 +29,80 @@ class ModelFormatError(ValueError):
     """Model file is malformed or from an unsupported format version."""
 
 
+def _int(value, what, lo, hi=math.inf):
+    """``value``, refused unless it is a JSON integer in ``lo..hi``."""
+    # type(), not isinstance: a JSON true must not load as the integer 1
+    if type(value) is not int or not lo <= value <= hi:
+        raise ModelFormatError(f"{what} {value!r} is not an integer in {lo}..{hi}")
+    return value
+
+
+def _number(value, where, what, finite=True):
+    """``value``, refused unless it is a JSON number, and finite if ``finite``."""
+    if type(value) not in (int, float):
+        raise ModelFormatError(f"{where} holds {what} {value!r}, not a number")
+    if finite and not math.isfinite(value):
+        raise ModelFormatError(f"{where} holds a non-finite {what} {value!r}")
+    return value
+
+
+def _list(value, what):
+    """``value``, refused unless it is a JSON array."""
+    if type(value) is not list:
+        raise ModelFormatError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def tree_to_dict(tree: RegressionTree) -> dict:
+    """JSON-serializable nested-node form of a tree."""
+    return {"n_features": tree.n_features, "root": _node_to_dict(tree.root)}
+
+
+def _node_to_dict(node):
+    if isinstance(node, Leaf):
+        return {"leaf": node.value}
+    return {
+        "feature": node.feature_index,
+        "threshold": node.threshold,
+        "left": _node_to_dict(node.left),
+        "right": _node_to_dict(node.right),
+    }
+
+
+def tree_from_dict(data: dict, n_features=None) -> RegressionTree:
+    """Inverse of :func:`tree_to_dict`; the tree must be for ``n_features``
+    features when that is given."""
+    lo, hi = (1, math.inf) if n_features is None else (n_features, n_features)
+    n_features = _int(data["n_features"], "tree n_features", lo, hi)
+    return RegressionTree(root=_node_from_dict(data["root"], n_features), n_features=n_features)
+
+
+def _node_from_dict(data, n_features):
+    if "leaf" in data:
+        return Leaf(float(_number(data["leaf"], "a tree", "leaf")))
+    # Positional arguments: keywords would add about a tenth to a model's parse time.
+    return Split(
+        _int(data["feature"], "split on feature", 0, n_features - 1),
+        float(_number(data["threshold"], "a tree", "threshold")),
+        _node_from_dict(data["left"], n_features),
+        _node_from_dict(data["right"], n_features),
+    )
+
+
 def _config_from_dict(data: dict) -> BoostConfig:
     # Keys of removed settings (rng_seed, min_samples_split) in older files are ignored.
     tree = data["tree_params"]
+    natural_gradient = data["natural_gradient"]
+    if type(natural_gradient) is not bool:
+        raise ModelFormatError(f"natural_gradient must be true or false, got {natural_gradient!r}")
     return BoostConfig(
-        n_stages_max=_typed(data, "n_stages_max", int),
-        learning_rate=_typed(data, "learning_rate", int, float),
-        patience=_typed(data, "patience", int),
-        natural_gradient=_typed(data, "natural_gradient", bool),
+        n_stages_max=_int(data["n_stages_max"], "n_stages_max", 1),
+        learning_rate=_number(data["learning_rate"], "config", "learning_rate"),
+        patience=_int(data["patience"], "patience", 0),
+        natural_gradient=natural_gradient,
         tree_params=TreeParams(
-            max_depth=_typed(tree, "max_depth", int),
-            min_samples_leaf=_typed(tree, "min_samples_leaf", int),
+            max_depth=_int(tree["max_depth"], "max_depth", 1),
+            min_samples_leaf=_int(tree["min_samples_leaf"], "min_samples_leaf", 1),
         ),
     )
 
@@ -59,78 +124,42 @@ def _boost_model_to_dict(model: BoostModel) -> dict:
 
 
 def _boost_model_from_dict(data: dict) -> BoostModel:
-    try:
-        model = BoostModel(
-            theta0=np.asarray(_numbers(data["theta0"], "theta0"), dtype=float),
-            stages=tuple(
-                Stage(rho=float(_typed(s, "rho", int, float)),
-                      trees=tuple(tree_from_dict(t) for t in _typed(s, "trees", list)))
-                for s in _typed(data, "stages", list)
-            ),
-            config=_config_from_dict(data["config"]),
-            family_tag=data["family"],
-            best_stage=_typed(data, "best_stage", int),
-            n_features=_typed(data, "n_features", int),
-            train_nll_path=tuple(_numbers(data.get("train_nll_path", []), "train_nll_path")),
-            val_nll_path=tuple(_numbers(data.get("val_nll_path", []), "val_nll_path")),
+    theta0 = np.array([_number(v, "theta0", "value") for v in _list(data["theta0"], "theta0")],
+                      dtype=float)
+    n_params = theta0.shape[0]
+    n_features = _int(data["n_features"], "n_features", 1)
+    stages = []
+    for b, s in enumerate(_list(data["stages"], "stages"), start=1):
+        trees = _list(s["trees"], "trees")
+        if len(trees) != n_params:
+            raise ModelFormatError(
+                f"stage {b} has {len(trees)} trees, theta0 has {n_params} parameters"
+            )
+        stages.append(Stage(
+            rho=float(_number(s["rho"], f"stage {b}", "rho")),
+            trees=tuple(tree_from_dict(t, n_features) for t in trees),
+        ))
+    model = BoostModel(
+        theta0=theta0,
+        stages=tuple(stages),
+        config=_config_from_dict(data["config"]),
+        best_stage=_int(data["best_stage"], "best_stage", 0, len(stages)),
+        n_features=n_features,
+        train_nll_path=_nll_path(data, "train_nll_path"),
+        val_nll_path=_nll_path(data, "val_nll_path"),
+    )
+    # MVN is the only family; a file of any other, such as the old
+    # "univariate" (mu, log sigma) one, would be misread as (mu, nu).
+    if data["family"] != model.family_tag:
+        raise ModelFormatError(
+            f"unsupported model family {data['family']!r} with {n_params} parameters"
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed model record: {type(exc).__name__}: {exc}") from exc
-    _check_boost_model(model)
     return model
 
 
-def _typed(data, key, *types):
-    """``data[key]``, refused unless its type is one of ``types`` exactly.
-
-    Exact types, because JSON's true and false are Python bools, which
-    isinstance would pass as the integers 1 and 0.
-    """
-    value = data[key]
-    if type(value) not in types:
-        kinds = " or ".join(t.__name__ for t in types)
-        raise TypeError(f"{key} must be {kinds}, got {value!r}")
-    return value
-
-
-def _numbers(values, key):
-    """``values``, refused unless it is a list of JSON numbers."""
-    if type(values) is not list:
-        raise TypeError(f"{key} must be list, got {values!r}")
-    for value in values:
-        if type(value) not in (int, float):
-            raise TypeError(f"{key} must hold numbers, got {value!r}")
-    return values
-
-
-def _check_boost_model(model: BoostModel):
-    """Refuse a parsed model whose parts do not fit together."""
-    # MVN is the only family; a file of any other, such as the old
-    # "univariate" (mu, log sigma) one, would be misread as (mu, nu).
-    tag = model.family_tag
-    match = re.fullmatch(r"mvn-([1-9][0-9]*)", tag) if isinstance(tag, str) else None
-    if match is None or model.theta0.shape != (param_count(int(match.group(1))),):
-        raise ModelFormatError(
-            f"unsupported model family {tag!r} with {model.theta0.size} parameters"
-        )
-    if not np.all(np.isfinite(model.theta0)):
-        raise ModelFormatError("theta0 holds a non-finite value")
-    if not 0 <= model.best_stage <= len(model.stages):
-        raise ModelFormatError(
-            f"best_stage {model.best_stage} is outside 0..{len(model.stages)}"
-        )
-    for b, stage in enumerate(model.stages, start=1):
-        if not math.isfinite(stage.rho):
-            raise ModelFormatError(f"stage {b} has a non-finite rho {stage.rho}")
-        if len(stage.trees) != model.n_params:
-            raise ModelFormatError(
-                f"stage {b} has {len(stage.trees)} trees, family {tag} needs {model.n_params}"
-            )
-        # tree_from_dict has checked every split against its tree's n_features
-        if any(tree.n_features != model.n_features for tree in stage.trees):
-            raise ModelFormatError(
-                f"stage {b} has a tree for other than {model.n_features} features"
-            )
+def _nll_path(data, key):
+    # Any number: the paths are a record that nothing computes with.
+    return tuple(_number(v, key, "value", finite=False) for v in _list(data.get(key, []), key))
 
 
 def model_to_dict(model, feature_names=None, target_names=None, metadata=None) -> dict:
@@ -169,18 +198,23 @@ def model_from_dict(doc: dict):
             f"model file format_version {version} is newer than supported ({FORMAT_VERSION})"
         )
     kind = doc.get("kind")
-    if kind == "univariate-set":
-        if not isinstance(doc.get("models"), list) or not doc["models"]:
-            raise ModelFormatError("an independent model file needs a list of models")
-        model = IndependentModel(
-            models=tuple(_boost_model_from_dict(m) for m in doc["models"])
-        )
-        if any(m.family_tag != "mvn-1" for m in model.models):
-            raise ModelFormatError("independent sub-models must be of family 'mvn-1'")
-    elif kind == "joint":
-        model = _boost_model_from_dict(doc.get("model"))
-    else:
-        raise ModelFormatError(f"unknown model kind: {kind!r}")
+    try:
+        if kind == "univariate-set":
+            if not isinstance(doc.get("models"), list) or not doc["models"]:
+                raise ModelFormatError("an independent model file needs a list of models")
+            model = IndependentModel(
+                models=tuple(_boost_model_from_dict(m) for m in doc["models"])
+            )
+            if any(m.family_tag != "mvn-1" for m in model.models):
+                raise ModelFormatError("independent sub-models must be of family 'mvn-1'")
+        elif kind == "joint":
+            model = _boost_model_from_dict(doc.get("model"))
+        else:
+            raise ModelFormatError(f"unknown model kind: {kind!r}")
+    except ModelFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise ModelFormatError(f"malformed model record: {type(exc).__name__}: {exc}") from exc
     _check_names(doc, model)
     return model, doc
 
@@ -214,6 +248,6 @@ def load_model(path):
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ModelFormatError(f"not a valid model file: {exc}") from exc
     return model_from_dict(doc)

@@ -17,7 +17,6 @@ same X; it sorts once per fit and passes that order to every
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,52 +192,3 @@ def _predict_into(node, X, idx, out):
     _predict_into(node.left, X, idx.compress(mask), out)
     _predict_into(node.right, X, idx.compress(~mask), out)
 
-
-def tree_to_dict(tree: RegressionTree) -> dict:
-    """JSON-serializable nested-node form (see model persistence)."""
-    return {"n_features": tree.n_features, "root": _node_to_dict(tree.root)}
-
-
-def _node_to_dict(node):
-    if isinstance(node, Leaf):
-        return {"leaf": node.value}
-    return {
-        "feature": node.feature_index,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def tree_from_dict(data: dict) -> RegressionTree:
-    """Inverse of :func:`tree_to_dict`; a field of the wrong JSON type, a split
-    on a feature the tree does not have, or a non-finite leaf value or
-    threshold raises ValueError."""
-    n_features = data["n_features"]
-    if type(n_features) is not int:
-        raise ValueError(f"n_features must be an integer, got {n_features!r}")
-    return RegressionTree(root=_node_from_dict(data["root"], n_features), n_features=n_features)
-
-
-def _finite(value, what):
-    # type(), not isinstance: a JSON true must not load as 1.0
-    if type(value) not in (int, float):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite {what} {value}")
-    return value
-
-
-def _node_from_dict(data, n_features):
-    if "leaf" in data:
-        return Leaf(_finite(data["leaf"], "leaf value"))
-    feature = data["feature"]
-    if type(feature) is not int or not 0 <= feature < n_features:
-        raise ValueError(f"split on feature {feature!r} of a {n_features}-feature tree")
-    return Split(
-        feature_index=feature,
-        threshold=_finite(data["threshold"], "threshold"),
-        left=_node_from_dict(data["left"], n_features),
-        right=_node_from_dict(data["right"], n_features),
-    )

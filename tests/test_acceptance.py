@@ -22,7 +22,6 @@ from mvboost.distributions import (
     param_count,
     sample_each,
     score_batch,
-    triu_layout,
 )
 from mvboost.metrics import pr_area, pr_coverage_rate
 from mvboost.simulation import ExperimentPlan, run_experiment

@@ -225,6 +225,24 @@ class TestIndependent:
         assert all(m.n_params == 2 for m in model.models)
 
 
+class TestValidationInputs:
+    @pytest.mark.parametrize("independent", [False, True], ids=["joint", "independent"])
+    @pytest.mark.parametrize("d_train, d_val, val_targets", [
+        (2, 1, lambda Y: Y),
+        (1, 2, lambda Y: Y),
+        (1, 1, lambda Y: Y[:-1]),
+        (1, 1, lambda Y: Y[:, :1]),
+    ], ids=["fewer-features", "more-features", "fewer-rows", "fewer-targets"])
+    def test_mismatched_validation_set(self, independent, d_train, d_val, val_targets):
+        X, Y = small_dataset(n=60)
+        Xv, Yv = small_dataset(n=30, seed=1)
+        X = np.column_stack([X, np.cos(3.0 * X)])[:, :d_train]
+        Xv = np.column_stack([Xv, np.cos(3.0 * Xv)])[:, :d_val]
+        fitter = fit_independent if independent else fit
+        with pytest.raises(ValueError, match="not fit"):
+            fitter(X, Y, Xv, val_targets(Yv), BoostConfig(n_stages_max=2))
+
+
 class TestConfigValidation:
     def test_bad_learning_rate(self):
         with pytest.raises(ValueError):

@@ -38,7 +38,7 @@ def simulate(runner, path, n=300, seed=0, extra=()):
 def stage_free_model(tmp_path, theta0=(0.0, 0.0, 0.0, 0.0, 0.0)):
     """A p = 2 model file with no stages, predicting theta0 everywhere."""
     model = BoostModel(theta0=np.array(theta0), stages=(), config=BoostConfig(),
-                       family_tag="mvn-2", best_stage=0, n_features=1)
+                       best_stage=0, n_features=1)
     path = tmp_path / "m.json"
     save_model(model, path, feature_names=["x"], target_names=["y1", "y2"])
     return path
@@ -141,7 +141,7 @@ class TestTrainPredict:
 
     def test_independent_sub_models_with_other_feature_counts_rejected(self, runner, tmp_path):
         subs = tuple(BoostModel(theta0=np.zeros(2), stages=(), config=BoostConfig(),
-                                family_tag="mvn-1", best_stage=0, n_features=d)
+                                best_stage=0, n_features=d)
                      for d in (1, 2))
         path = tmp_path / "m.json"
         save_model(IndependentModel(models=subs), path, feature_names=["x"],
@@ -216,6 +216,27 @@ class TestTrainPredict:
         assert result.exit_code == 3, result.output
         assert message in result.output
 
+    @pytest.mark.parametrize("root", [
+        # json.load recurses once per level; 5000 levels pass the recursion limit
+        '{"feature": 0, "threshold": 0.0, "left": ' * 5000 + '{"leaf": 0.0}'
+        + ', "right": {"leaf": 0.0}}' * 5000,
+        # an integer no float can hold
+        '{"leaf": 1' + "0" * 400 + "}",
+    ], ids=["nested-too-deep", "huge-integer"])
+    def test_tree_past_python_limits_is_data_error(self, runner, tmp_path, root):
+        data, _ = simulate(runner, tmp_path / "d.csv", n=20)
+        model = train(runner, data, tmp_path / "m.json")
+        doc = json.loads(model.read_text())
+        doc["model"]["stages"][0]["trees"][0]["root"] = "@"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"@"', root))
+        result = runner.invoke(
+            main, ["predict", "--model", str(bad), "--data", str(data),
+                   "--out", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "data error" in result.output
+
     def test_old_file_with_rng_seed_predicts_the_same(self, runner, tmp_path):
         # files written before rng_seed and min_samples_split were removed
         data, _ = simulate(runner, tmp_path / "d.csv")
@@ -241,7 +262,7 @@ class TestTrainPredict:
         # a large dynamic range in L, where inverting L^T L loses digits
         theta0 = np.array([0, 0, 0, 2.5, 2.1, -2.3, -7.0, 4.4, -6.0])
         model = BoostModel(theta0=theta0, stages=(), config=BoostConfig(),
-                           family_tag="mvn-3", best_stage=0, n_features=1)
+                           best_stage=0, n_features=1)
         path = tmp_path / "m.json"
         save_model(model, path, feature_names=["x"], target_names=["y1", "y2", "y3"])
         data = tmp_path / "d.csv"
@@ -486,6 +507,20 @@ class TestEvaluate:
         assert result.exit_code == 3
         assert "feature_names" in result.output
 
+    def test_truth_for_other_than_two_targets_is_data_error(self, runner, tmp_path):
+        # the sidecar holds bivariate moments only; a p = 3 model has no use for it
+        _, truth = simulate(runner, tmp_path / "d.csv", n=2)
+        model = BoostModel(theta0=np.zeros(9), stages=(), config=BoostConfig(),
+                           best_stage=0, n_features=1)
+        path = tmp_path / "m.json"
+        save_model(model, path, feature_names=["x"], target_names=["y1", "y2", "y3"])
+        data = tmp_path / "d3.csv"
+        data.write_text("x,y1,y2,y3\n0.0,0.0,0.0,0.0\n1.0,1.0,1.0,1.0\n")
+        result = runner.invoke(main, ["evaluate", "--model", str(path), "--data", str(data),
+                                      "--truth", str(truth)])
+        assert result.exit_code == 3, result.output
+        assert "bivariate" in result.output
+
 
 class TestErrors:
     def test_missing_column_is_data_error(self, runner, tmp_path):
@@ -505,6 +540,29 @@ class TestErrors:
                    "--out", str(tmp_path / "m.json")]
         )
         assert result.exit_code == 3
+
+    def test_repeated_header_column_is_data_error(self, runner, tmp_path):
+        data, _ = simulate(runner, tmp_path / "d.csv", n=20)
+        _, rows = read_csv(data)
+        path = tmp_path / "dup.csv"
+        path.write_text("x,x,y1,y2\n" + "".join(f"{r[0]},{r[0]},{r[1]},{r[2]}\n" for r in rows))
+        result = runner.invoke(
+            main, ["train", "--data", str(path), "--targets", "y1,y2", "--stages", "2",
+                   "--out", str(tmp_path / "m.json")]
+        )
+        assert result.exit_code == 3, result.output
+        assert "['x']" in result.output
+        assert not (tmp_path / "m.json").exists()
+
+    def test_too_few_training_rows_after_split_is_data_error(self, runner, tmp_path):
+        # 3 rows less the default 20% validation split leave 2 rows for p = 2 targets
+        data, _ = simulate(runner, tmp_path / "d.csv", n=3)
+        result = runner.invoke(
+            main, ["train", "--data", str(data), "--targets", "y1,y2",
+                   "--out", str(tmp_path / "m.json")]
+        )
+        assert result.exit_code == 3, result.output
+        assert "training rows" in result.output
 
     def test_empty_file_is_data_error(self, runner, tmp_path):
         path = tmp_path / "d.csv"

@@ -156,7 +156,7 @@ class TestScore:
         theta = random_theta(rng, 3)
         g = dist.score(theta, theta.mean)
         p = 3
-        rows, cols = dist.triu_layout(p)
+        rows, cols = np.triu_indices(p)
         expected = np.zeros_like(g)
         # at zero residual only the log-det term is left, exactly -1 per nu_ii
         assert np.allclose(g[:p], 0.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mvboost import trees
+from mvboost.model_io import tree_from_dict, tree_to_dict
 from mvboost.trees import (
     EmptyTrainingSetError,
     Leaf,
@@ -16,8 +17,6 @@ from mvboost.trees import (
     fit_tree,
     predict_tree,
     predict_tree_batch,
-    tree_from_dict,
-    tree_to_dict,
 )
 
 from conftest import in_layout
