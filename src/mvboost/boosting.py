@@ -84,6 +84,7 @@ class BoostModel:
 def line_search(theta_batch, directions_batch, Y_batch) -> float:
     """argmin over the candidate grid of the total NLL after a rho step.
 
+    A candidate whose stepped theta or total NLL is not finite is skipped.
     If every candidate worsens the current total, returns the smallest
     candidate (2^-10) so the stage contributes a negligible step.
     """
@@ -94,9 +95,12 @@ def line_search(theta_batch, directions_batch, Y_batch) -> float:
     best_rho = LINE_SEARCH_GRID[0]
     best_total = np.inf
     for rho in LINE_SEARCH_GRID:
-        trial = theta_batch - rho * directions_batch
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            totals = distributions.nll_batch(trial, Y_batch, p)
+            trial = theta_batch - rho * directions_batch
+            try:
+                totals = distributions.nll_batch(trial, Y_batch, p)
+            except InvalidParameterError:  # shapes passed above: trial overflowed
+                continue
         total = float(np.sum(totals))
         if not np.isfinite(total):
             continue
@@ -109,8 +113,8 @@ def line_search(theta_batch, directions_batch, Y_batch) -> float:
 
 
 def _stage_predictions(trees, X):
-    """The (n, M) predictions of one stage's trees; X is best column-major."""
-    out = np.empty((X.shape[0], len(trees)))
+    """The (n, M) predictions of one stage's trees, column-major like X."""
+    out = np.empty((X.shape[0], len(trees)), order="F")
     for m, tree in enumerate(trees):
         out[:, m] = predict_tree_batch(tree, X)
     return out
@@ -145,7 +149,10 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
 
     order = np.argsort(X_train, axis=0, kind="stable")  # shared by every tree
     theta0 = distributions.marginal_mle(Y_train).values
-    thetas = np.tile(theta0, (X_train.shape[0], 1))
+    # Column-major theta and Y, like X: each parameter's column is contiguous
+    # for the NLL, the gradients, the tree targets and the stage updates.
+    Y_train = np.asfortranarray(Y_train)
+    thetas = np.asfortranarray(np.tile(theta0, (X_train.shape[0], 1)))
     train_path = [float(np.mean(distributions.nll_batch(thetas, Y_train, p)))]
 
     stages: list[Stage] = []
@@ -153,7 +160,8 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
     best_stage = 0
     best_val = np.inf
     if have_val:
-        thetas_val = np.tile(theta0, (X_val.shape[0], 1))
+        Y_val = np.asfortranarray(Y_val)
+        thetas_val = np.asfortranarray(np.tile(theta0, (X_val.shape[0], 1)))
         best_val = float(np.mean(distributions.nll_batch(thetas_val, Y_val, p)))
         val_path.append(best_val)
 
@@ -207,11 +215,12 @@ def predict_theta(model: BoostModel, X) -> np.ndarray:
         raise ValueError(
             f"model expects {model.n_features} features, got {X.shape[1]}"
         )
-    thetas = np.tile(model.theta0, (X.shape[0], 1))
+    # column-major while the stages add up, as in fit; returned row-major
+    thetas = np.asfortranarray(np.tile(model.theta0, (X.shape[0], 1)))
     lr = model.config.learning_rate
     for stage in model.stages[: model.best_stage]:
         thetas -= lr * stage.rho * _stage_predictions(stage.trees, X)
-    return thetas
+    return np.ascontiguousarray(thetas)
 
 
 @dataclass(frozen=True)

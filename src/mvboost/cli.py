@@ -160,6 +160,10 @@ def cmd_train(data_path, targets, features, val_file, val_frac, independent,
     )
     if not target_cols or not feature_cols:
         raise DataError("select at least one target and one feature column")
+    for flag, cols in (("--targets", target_cols), ("--features", feature_cols)):
+        repeated = sorted({c for c in cols if cols.count(c) > 1})
+        if repeated:
+            raise DataError(f"{flag} names a column more than once: {repeated}")
     overlap = sorted(set(target_cols) & set(feature_cols))
     if overlap:
         raise DataError(f"columns used as both feature and target: {overlap}")

@@ -16,9 +16,16 @@ The Fisher information is block-diagonal (the mean block, then one block per
 row i of L), so the natural gradient needs no solve: it is z = mu - y for the
 means and (L_i^T L_i - l_i l_i^T / 2) g_i for row i, by Sherman-Morrison.
 
+The negative log-likelihood, which the line search evaluates 16 times per
+stage, is computed from the rows of L on column vectors and never builds the
+(n, p, p) factor.
+
 All core computations have batch variants operating on an (n, M) array of
-parameter rows; these are what the boosting loop consumes.  Everything here is
-a pure function of its inputs, and RNG state is always caller-supplied.
+parameter rows; these are what the boosting loop consumes.  They accept any
+memory layout and give the same values for each; the boosting loop keeps its
+theta column-major, so that each parameter's column is contiguous.
+Everything here is a pure function of its inputs, and RNG state is always
+caller-supplied.
 """
 
 from __future__ import annotations
@@ -120,16 +127,47 @@ def whiten_batch(thetas, Ys, p):
             f"observation batch shape {Ys.shape} does not match (n, {p})"
         )
     L = scale_matrices(thetas, p)
-    z = thetas[:, :p] - Ys
+    # einsum's summation order follows its operands' layout; a row-major z
+    # makes eta, and all that is built from it, the same for any input layout.
+    z = np.subtract(thetas[:, :p], Ys, order="C")
     eta = np.einsum("nij,nj->ni", L, z)
     return L, z, eta
 
 
 def nll_batch(thetas, Ys, p) -> np.ndarray:
-    """Per-row negative log-likelihood: sum_i(eta_i^2/2 - log a_ii) + const."""
-    L, _, eta = whiten_batch(thetas, Ys, p)
-    diag = L[:, np.arange(p), np.arange(p)]
-    return 0.5 * np.sum(eta * eta, axis=1) - np.sum(np.log(diag), axis=1) + 0.5 * p * _LOG_2PI
+    """Per-row negative log-likelihood: sum_i(eta_i^2/2 - log a_ii) + const.
+
+    One pass over the rows i of L on column vectors, with no (n, p, p) array:
+    eta_i = a_ii z_i + sum_{j>i} nu_ij z_j.  The sums run over i in order and
+    log a_ii is taken of exp(nu_ii), so for p <= 2 the result is bit-identical
+    to whitening with the dense factor.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    Ys = np.atleast_2d(np.asarray(Ys, dtype=float))
+    if Ys.shape[1] != p or Ys.shape[0] != thetas.shape[0]:
+        raise InvalidParameterError(
+            f"observation batch shape {Ys.shape} does not match (n, {p})"
+        )
+    if thetas.shape[1] != param_count(p):
+        raise InvalidParameterError(
+            f"theta batch has {thetas.shape[1]} columns, p={p} needs {param_count(p)}"
+        )
+    if not np.all(np.isfinite(thetas)):
+        raise InvalidParameterError("theta entries must be finite")
+    z = [thetas[:, j] - Ys[:, j] for j in range(p)]
+    k = p  # theta column of nu_ii
+    for i in range(p):
+        a = np.exp(thetas[:, k])
+        eta = a * z[i]
+        for j in range(i + 1, p):
+            eta += thetas[:, k + j - i] * z[j]
+        if i == 0:
+            sq, log_det = eta * eta, np.log(a)
+        else:
+            sq += eta * eta
+            log_det += np.log(a)
+        k += p - i
+    return 0.5 * sq - log_det + 0.5 * p * _LOG_2PI
 
 
 def score_batch(thetas, Ys, p) -> np.ndarray:
@@ -361,7 +399,7 @@ def kl_divergence_batch(thetas_true, thetas_pred, p) -> np.ndarray:
     l_true = scale_matrices(thetas_true, p)
     l_pred = scale_matrices(thetas_pred, p)
     sigma_true = covariance_batch(thetas_true, p)
-    delta = thetas_pred[:, :p] - thetas_true[:, :p]
+    delta = np.subtract(thetas_pred[:, :p], thetas_true[:, :p], order="C")  # as in whiten_batch
     trace_term = np.einsum("nij,nij->n", np.einsum("nij,njk->nik", l_pred, sigma_true), l_pred)
     quad_term = np.sum(np.einsum("nij,nj->ni", l_pred, delta) ** 2, axis=1)
     idx = np.arange(p)

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ class TestLineSearch:
         assert rho in LINE_SEARCH_GRID
         trial = thetas - rho * directions
         assert np.isfinite(nll_batch(trial, Ys, 1)).all()
+
+    def test_skips_candidates_whose_theta_overflows(self):
+        # rho * 1e307 overflows for rho = 32; every other candidate's NLL is
+        # infinite, so the search falls back to the smallest step, silently
+        thetas = np.zeros((10, 2))
+        directions = np.tile([1e307, 0.0], (10, 1))
+        Ys = np.full((10, 1), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert line_search(thetas, directions, Ys) == LINE_SEARCH_GRID[0]
 
 
 class TestFit:

@@ -585,6 +585,20 @@ class TestErrors:
         assert result.exit_code == 3, result.output
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("columns, repeated", [
+        (["--targets", "y1,y2", "--features", "x,x"], "--features names a column more than once: ['x']"),
+        (["--targets", "y1,y1", "--features", "x"], "--targets names a column more than once: ['y1']"),
+    ], ids=["repeated-feature", "repeated-target"])
+    def test_repeated_column_name_is_data_error(self, runner, tmp_path, columns, repeated):
+        data, _ = simulate(runner, tmp_path / "d.csv", n=200)
+        result = runner.invoke(
+            main, ["train", "--data", str(data), *columns, "--stages", "2",
+                   "--out", str(tmp_path / "m.json")]
+        )
+        assert result.exit_code == 3, result.output
+        assert repeated in result.output
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("option", [
         ("simulate", "--n", "0"),
         ("evaluate", "--alpha", "2"),

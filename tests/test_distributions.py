@@ -11,7 +11,10 @@ from mvboost.distributions import (
     ThetaVector,
 )
 
+from conftest import in_layout
+
 LOG_2PI = np.log(2 * np.pi)
+LAYOUTS = ("C", "F", "strided")
 
 
 def random_theta(rng, p, scale=1.0):
@@ -27,6 +30,38 @@ def theta_and_y(draw, nu_low=-13.0, nu_high=3.0):
     nu = draw(st.lists(st.floats(nu_low, nu_high), min_size=m - p, max_size=m - p))
     y = draw(st.lists(st.floats(-5.0, 5.0), min_size=p, max_size=p))
     return p, np.array([mean + nu]), np.array([y])
+
+
+@st.composite
+def nll_batches(draw, max_p=10):
+    """One (p, thetas, Ys) batch with p in 1..max_p, 1..20 rows, nu in [-13, 3]."""
+    p = draw(st.integers(1, max_p))
+    n = draw(st.integers(1, 20))
+    m = dist.param_count(p)
+    rows = st.lists(st.floats(-5.0, 5.0), min_size=p, max_size=p)
+    nus = st.lists(st.floats(-13.0, 3.0), min_size=m - p, max_size=m - p)
+    thetas = np.array([draw(rows) + draw(nus) for _ in range(n)])
+    Ys = np.array([draw(rows) for _ in range(n)])
+    return p, thetas, Ys
+
+
+def dense_nll(thetas, Ys, p):
+    """The NLL by whitening with the dense (n, p, p) factor L: the oracle for
+    the row-of-L kernel in dist.nll_batch.
+
+    Also returns each row's scale: the NLL's terms summed in absolute value,
+    with eta_i = sum_j L_ij z_j taken as sum_j |L_ij z_j|.  Summing in another
+    order moves the NLL by a few ulps of this scale, not of the NLL itself,
+    which cancels towards 0 when the log-determinant meets the quadratic term.
+    """
+    L = dist.scale_matrices(thetas, p)
+    z = thetas[:, :p] - Ys
+    eta = np.einsum("nij,nj->ni", L, z)
+    log_a = np.log(L[:, np.arange(p), np.arange(p)])
+    nll = 0.5 * np.sum(eta * eta, axis=1) - np.sum(log_a, axis=1) + 0.5 * p * LOG_2PI
+    eta_abs = np.einsum("nij,nj->ni", np.abs(L), np.abs(z))
+    scale = 0.5 * np.sum(eta_abs**2, axis=1) + np.sum(np.abs(log_a), axis=1) + 0.5 * p * LOG_2PI
+    return nll, scale
 
 
 def finite_diff_grad(theta, y, rel_step=1e-6):
@@ -149,6 +184,50 @@ class TestNll:
         with pytest.raises(InvalidParameterError):
             dist.nll(ThetaVector([0, 0, 0, 0, 0], 2), np.zeros(3))
 
+    @settings(max_examples=300, deadline=None)
+    @given(nll_batches())
+    def test_batch_matches_dense_oracle(self, case):
+        # bit-identical for p <= 2; beyond, the sums over j run in another order
+        p, thetas, Ys = case
+        got = dist.nll_batch(thetas, Ys, p)
+        want, scale = dense_nll(thetas, Ys, p)
+        if p <= 2:
+            assert np.array_equal(got, want)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(nll_batches())
+    def test_batch_same_in_every_layout(self, case):
+        p, thetas, Ys = case
+        want = dist.nll_batch(thetas, Ys, p)
+        for theta_layout in LAYOUTS:
+            for y_layout in LAYOUTS:
+                got = dist.nll_batch(in_layout(thetas, theta_layout), in_layout(Ys, y_layout), p)
+                assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(nll_batches(), st.data())
+    def test_non_finite_theta_rejected(self, case, data):
+        p, thetas, Ys = case
+        row = data.draw(st.integers(0, thetas.shape[0] - 1))
+        col = data.draw(st.integers(0, thetas.shape[1] - 1))
+        thetas[row, col] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(InvalidParameterError, match="theta entries must be finite"):
+            dist.nll_batch(thetas, Ys, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(nll_batches(), st.sampled_from(["y-columns", "y-rows", "theta-columns"]))
+    def test_shape_mismatch_rejected(self, case, mismatch):
+        p, thetas, Ys = case
+        if mismatch == "y-columns":
+            Ys = np.zeros((Ys.shape[0], p + 1))
+        elif mismatch == "y-rows":
+            Ys = np.zeros((Ys.shape[0] + 1, p))
+        else:
+            thetas = np.zeros((thetas.shape[0], thetas.shape[1] + 1))
+        with pytest.raises(InvalidParameterError):
+            dist.nll_batch(thetas, Ys, p)
+
 
 class TestScore:
     def test_zero_residual_gradient(self):
@@ -270,6 +349,19 @@ class TestNaturalGradient:
             moved = ThetaVector(theta.values - t * g, p)
             assert dist.nll(moved, y) < dist.nll(theta, y)
 
+    @pytest.mark.parametrize("p", [3, 10])
+    def test_score_and_natural_gradient_same_in_every_layout(self, p):
+        # the fit hands these its column-major theta; tree targets must not move
+        rng = np.random.default_rng(10)
+        thetas = 0.5 * rng.normal(size=(50, dist.param_count(p)))
+        Ys = rng.normal(size=(50, p))
+        for fn in (dist.score_batch, dist.natural_gradient_batch):
+            want = fn(thetas, Ys, p)
+            for theta_layout in LAYOUTS:
+                for y_layout in LAYOUTS:
+                    got = fn(in_layout(thetas, theta_layout), in_layout(Ys, y_layout), p)
+                    assert np.array_equal(got, want)
+
 
 class TestSample:
     def test_moments(self):
@@ -389,6 +481,16 @@ class TestKl:
             t1.values[None, :], t2.values[None, :], 2
         )
         assert batch[0] == pytest.approx(dist.kl_divergence(t1, t2), rel=1e-10)
+
+    @pytest.mark.parametrize("p", [2, 3, 10])
+    def test_batch_same_in_every_layout(self, p):
+        rng = np.random.default_rng(17)
+        m = dist.param_count(p)
+        t1, t2 = 0.5 * rng.normal(size=(2, 50, m))
+        want = dist.kl_divergence_batch(t1, t2, p)
+        for layout in LAYOUTS:
+            got = dist.kl_divergence_batch(in_layout(t1, layout), in_layout(t2, layout), p)
+            assert np.array_equal(got, want)
 
 
 class TestUnivariate:
