@@ -1,9 +1,10 @@
 """Boosting of distribution parameters with natural gradients.
 
 Each stage fits one regression tree per parameter component to the per-row
-natural gradients (Fisher-preconditioned score), scales the stage by a line
-search over a fixed geometric grid, and applies the step damped by the
-learning rate:
+natural gradients (Fisher-preconditioned score), growing the M trees together
+with :func:`trees.fit_stage`, which also returns their predictions on the
+training rows.  The stage is scaled by a line search over a fixed geometric
+grid, and the step is damped by the learning rate:
 
     theta(x) = theta0 - learning_rate * sum_b rho_b * f_b(x)
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import distributions
 from .distributions import InvalidParameterError, param_count
-from .trees import RegressionTree, TreeParams, fit_tree, predict_tree_batch
+from .trees import RegressionTree, TreeParams, fit_stage, predict_tree_batch
 
 # rho candidates for the stage line search: {2^k : k = -10..5}; includes 1.
 LINE_SEARCH_GRID = tuple(2.0**k for k in range(-10, 6))
@@ -36,6 +37,16 @@ class NonFiniteGradientError(RuntimeError):
         super().__init__(f"non-finite gradient at stage {stage}, row {row}")
         self.stage = stage
         self.row = row
+
+
+class TreeOverflowError(ArithmeticError):
+    """Tree growth overflowed float64 mid-fit: the targets' scale is out of
+    range (README, "Units").  Carries the stage."""
+
+    def __init__(self, stage):
+        super().__init__(f"tree growth overflowed float64 at stage {stage}; "
+                         "rescale the targets")
+        self.stage = stage
 
 
 @dataclass(frozen=True)
@@ -174,11 +185,10 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
         if not finite_rows.all():
             raise NonFiniteGradientError(b, int(np.argmin(finite_rows)))
 
-        trees = tuple(
-            fit_tree(X_train, grads[:, m], config.tree_params, order=order)
-            for m in range(param_count(p))
-        )
-        f_train = _stage_predictions(trees, X_train)
+        try:
+            trees, f_train = fit_stage(X_train, grads, config.tree_params, order)
+        except FloatingPointError as exc:
+            raise TreeOverflowError(b) from exc
         rho = line_search(thetas, f_train, Y_train)
         thetas = thetas - config.learning_rate * rho * f_train
         stages.append(Stage(rho=rho, trees=trees))

@@ -38,7 +38,7 @@ def _handle_errors(func):
             click.echo(f"data error: {exc}", err=True)
             sys.exit(EXIT_DATA_ERROR)
         except (InvalidParameterError, boosting.NonFiniteGradientError,
-                np.linalg.LinAlgError) as exc:
+                boosting.TreeOverflowError, np.linalg.LinAlgError) as exc:
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(EXIT_NUMERIC_ERROR)
 

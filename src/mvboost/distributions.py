@@ -360,9 +360,18 @@ def marginal_mle(Y) -> ThetaVector:
         raise InvalidParameterError(
             f"need more than p={p} rows for a marginal fit, got {n}"
         )
-    mean = Y.mean(axis=0)
-    centered = Y - mean
-    cov = centered.T @ centered / n
+    # Row-major whatever the caller's layout: Y.mean sums in memory order, so
+    # a column-major Y would give a theta0 that differs in the last bits.
+    Y = np.ascontiguousarray(Y)
+    with np.errstate(over="raise"):
+        try:
+            mean = Y.mean(axis=0)
+            centered = Y - mean
+            cov = centered.T @ centered / n
+        except FloatingPointError as exc:
+            raise InvalidParameterError(
+                "the targets' sample covariance overflows float64; rescale the targets"
+            ) from exc
     try:
         return fit_theta_from_moments(mean, cov)
     except InvalidParameterError as exc:

@@ -128,6 +128,10 @@ class TestFit:
             )
             thetas = thetas - lr * stage.rho * f
         assert np.allclose(predict_theta(model, X), thetas)
+        # fit steps with the grower's own training predictions; they are the
+        # trees' predictions bit for bit, so the path ends at predict_theta's NLL
+        fitted = predict_theta(model, X)
+        assert model.train_nll_path[-1] == float(np.mean(nll_batch(fitted, Y, 2)))
 
     def test_one_tree_per_parameter(self):
         X, Y = small_dataset(n=60)
@@ -160,6 +164,15 @@ class TestFit:
         model = fit(Xl[:160], Y[:160], Xl[160:], Y[160:], cfg)
         assert model_to_dict(model) == model_to_dict(base)
         assert np.array_equal(predict_theta(base, Xl), predict_theta(base, X))
+
+    def test_memory_layout_of_y_does_not_matter(self):
+        # table columns come out of a CSV in Fortran order
+        data = generate(4000, seed=0)
+        cfg = BoostConfig(n_stages_max=3)
+        base = fit(data.X, data.Y, config=cfg)
+        model = fit(data.X, np.asfortranarray(data.Y), config=cfg)
+        assert np.array_equal(model.theta0, base.theta0)
+        assert model.train_nll_path == base.train_nll_path
 
     def test_plain_gradient_ablation_differs(self):
         X, Y = small_dataset(n=100)
@@ -338,3 +351,31 @@ class TestInvariance:
         paths, thetas = _fit_summary(independent, mapped, _TRAIN.Y)
         assert np.array_equal(paths, base_paths)
         assert np.array_equal(thetas, base_thetas)
+
+
+class TestTargetScaleRange:
+    """Past the range of target scales that float64 carries (README, "Units"),
+    tree growth overflows and the fit stops with a typed error."""
+
+    DATA = generate(1000, seed=0)
+    CONFIG = BoostConfig(n_stages_max=20, learning_rate=0.1)
+
+    def _fit(self, c):
+        X, Y = self.DATA.X, c * self.DATA.Y
+        return fit(X[:700], Y[:700], X[700:], Y[700:], self.CONFIG)
+
+    @pytest.mark.parametrize("log10_c", [151.5, -153.0, -153.5])
+    def test_overflow_is_typed_error_naming_the_stage(self, log10_c):
+        with pytest.raises(boosting.TreeOverflowError) as info:
+            self._fit(10.0**log10_c)
+        assert f"at stage {info.value.stage}" in str(info.value)
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
+    @pytest.mark.parametrize("log10_c", [151.0, -152.5])
+    def test_edge_scales_still_fit(self, log10_c):
+        c = 10.0**log10_c
+        base, model = self._fit(1.0), self._fit(c)
+        assert [s.rho for s in model.stages] == [s.rho for s in base.stages]
+        mu = c * predict_theta(base, self.DATA.X)[:, :2]
+        got = predict_theta(model, self.DATA.X)[:, :2]
+        assert np.all(np.abs(got - mu) <= 1e-12 * np.abs(mu).max())

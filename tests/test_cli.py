@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -523,6 +524,26 @@ class TestEvaluate:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("scale, message", [
+        (1e152, "tree growth overflowed float64 at stage 1"),
+        (1e153, "sample covariance overflows float64"),
+    ])
+    def test_overflowing_targets_are_numeric_failure(self, runner, tmp_path, scale, message):
+        data, _ = simulate(runner, tmp_path / "d.csv")
+        header, rows = read_csv(data)
+        big = tmp_path / "big.csv"
+        big.write_text(",".join(header) + "\n" + "".join(
+            f"{r[0]},{float(r[1]) * scale!r},{float(r[2]) * scale!r}\n" for r in rows))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["train", "--data", str(big), "--targets", "y1,y2",
+                                          "--out", str(tmp_path / "m.json")])
+        assert result.exit_code == 4, result.output
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure:")
+        assert message in lines[0]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_missing_column_is_data_error(self, runner, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1.0,2.0\n")

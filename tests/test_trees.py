@@ -14,6 +14,7 @@ from mvboost.trees import (
     RegressionTree,
     Split,
     TreeParams,
+    fit_stage,
     fit_tree,
     predict_tree,
     predict_tree_batch,
@@ -320,3 +321,84 @@ class TestSerialization:
             predict_tree_batch(tree, X), predict_tree_batch(restored, X)
         )
         assert tree_to_dict(restored) == tree_to_dict(tree)
+
+
+@st.composite
+def tie_heavy_stages(draw):
+    """A tie-heavy problem with 1-6 target columns: one stage's trees."""
+    X, ys, params = draw(tie_heavy_problems())
+    more = draw(st.integers(0, 5))
+    G = draw(arrays(float, (len(ys), more), elements=st.floats(-10, 10, allow_nan=False)))
+    return X, np.column_stack([ys, G]), params
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # growth computes no inf or nan
+class TestFitStage:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_stages(), st.sampled_from(["C", "F", "strided"]))
+    def test_each_column_is_the_reference_tree_and_F_its_prediction(self, problem, layout):
+        X, G, params = problem
+        stage, F = fit_stage(in_layout(X, layout), in_layout(G, layout), params)
+        assert len(stage) == G.shape[1] and F.shape == G.shape
+        for m, tree in enumerate(stage):
+            assert tree.root == reference_tree(X, G[:, m], params)
+            assert np.array_equal(F[:, m], predict_tree_batch(tree, X))
+
+    def test_groups_and_blocks_do_not_change_the_trees(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        X = np.round(rng.normal(size=(120, 2)), 1)
+        G = rng.normal(size=(120, 5))
+        params = TreeParams(max_depth=6)
+        stage, F = fit_stage(X, G, params)
+        # one tree per level and a few nodes per block, where the default
+        # grows all five trees in one level and one block
+        monkeypatch.setattr(trees, "_LEVEL", 1)
+        monkeypatch.setattr(trees, "_BLOCK", 64)
+        small_stage, small_F = fit_stage(X, G, params)
+        assert small_stage == stage
+        assert np.array_equal(small_F, F)
+
+    def test_single_column_is_fit_tree(self):
+        rng = np.random.default_rng(9)
+        X = np.round(rng.normal(size=(90, 3)), 1)
+        G = rng.normal(size=(90, 4))
+        params = TreeParams(max_depth=5, min_samples_leaf=2)
+        stage, _ = fit_stage(X, G, params)
+        assert stage == tuple(fit_tree(X, G[:, m], params) for m in range(4))
+
+    def test_overflow_raises(self):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(50, 1))
+        G = rng.normal(size=(50, 2))
+        fit_stage(X, 1e150 * G)
+        with pytest.raises(FloatingPointError):  # its squared sums pass 1.8e308
+            fit_stage(X, 1e160 * G)
+
+    def test_no_overflow_beyond_the_split_scan(self):
+        # The squared node total (3.5e308) overflows, but it is no split's
+        # term: every sum the split scan needs fits.
+        stage, F = fit_stage(np.array([[0.0], [1.0]]), np.array([[9.4e153], [9.3e153]]))
+        assert isinstance(stage[0].root, Split)
+        assert F[:, 0].tolist() == [9.4e153, 9.3e153]
+
+    def test_midpoint_rounded_onto_a_value(self):
+        # Between adjacent doubles the midpoint rounds onto one of them.
+        up = np.array([[1.0], [np.nextafter(1.0, 2.0)]])
+        stage, F = fit_stage(up, np.array([[0.0], [1.0]]))
+        assert stage[0].root.threshold == 1.0  # the lower value routes left
+        assert F[:, 0].tolist() == [0.0, 1.0]
+        down = np.array([[np.nextafter(1.0, 0.0)], [1.0]])
+        stage, F = fit_stage(down, np.array([[0.0], [1.0]]))
+        assert isinstance(stage[0].root, Leaf)  # every row routes left: no split
+        assert F[:, 0].tolist() == [0.5, 0.5]
+
+    def test_shapes_checked(self):
+        X = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="targets"):
+            fit_stage(X, np.zeros(4))
+        with pytest.raises(ValueError, match="row mismatch"):
+            fit_stage(X, np.zeros((5, 1)))
+        with pytest.raises(ValueError, match="order"):
+            fit_stage(X, np.zeros((4, 1)), order=np.zeros((4, 1), dtype=int))
+        with pytest.raises(EmptyTrainingSetError):
+            fit_stage(np.empty((0, 2)), np.empty((0, 1)))
