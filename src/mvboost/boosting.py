@@ -3,8 +3,9 @@
 Each stage fits one regression tree per parameter component to the per-row
 natural gradients (Fisher-preconditioned score), growing the M trees together
 with :func:`trees.fit_stage`, which also returns their predictions on the
-training rows.  The stage is scaled by a line search over a fixed geometric
-grid, and the step is damped by the learning rate:
+training rows and on the validation rows.  The stage is scaled by a line
+search over a fixed geometric grid, and the step is damped by the learning
+rate:
 
     theta(x) = theta0 - learning_rate * sum_b rho_b * f_b(x)
 
@@ -175,6 +176,8 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
         thetas_val = np.asfortranarray(np.tile(theta0, (X_val.shape[0], 1)))
         best_val = float(np.mean(distributions.nll_batch(thetas_val, Y_val, p)))
         val_path.append(best_val)
+    # The rows the grower also predicts: none without a validation set.
+    rows_val = X_val if have_val else X_train[:0]
 
     for b in range(1, config.n_stages_max + 1):
         if config.natural_gradient:
@@ -186,7 +189,7 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
             raise NonFiniteGradientError(b, int(np.argmin(finite_rows)))
 
         try:
-            trees, f_train = fit_stage(X_train, grads, config.tree_params, order)
+            trees, f_train, f_val = fit_stage(X_train, grads, config.tree_params, order, rows_val)
         except FloatingPointError as exc:
             raise TreeOverflowError(b) from exc
         rho = line_search(thetas, f_train, Y_train)
@@ -195,7 +198,7 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
         train_path.append(float(np.mean(distributions.nll_batch(thetas, Y_train, p))))
 
         if have_val:
-            thetas_val = thetas_val - config.learning_rate * rho * _stage_predictions(trees, X_val)
+            thetas_val = thetas_val - config.learning_rate * rho * f_val
             val_nll = float(np.mean(distributions.nll_batch(thetas_val, Y_val, p)))
             val_path.append(val_nll)
             if val_nll < best_val:  # strict: ties keep the earlier, smaller model

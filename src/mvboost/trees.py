@@ -14,10 +14,16 @@ level of bounded size holds), once in each feature's sorted order and once in
 ascending order.  A node scans all its features with one pass of cumulative
 target sums; the SSE formula, the split pick and the routing run over blocks
 of nodes at once, and a stable partition of the level hands each child its
-rows still sorted, so X is sorted once per fit and no node sorts again.  Leaves are made where their rows are known, so the
-grower also returns the trees' predictions on its own rows.  Growth raises
-``FloatingPointError`` when a sum or square of the targets overflows float64,
-rather than picking splits on infinities.
+rows still sorted, so X is sorted once per fit and no node sorts again.  A
+level passes over only what its inputs need: a feature with no repeated
+value needs no test that the values either side of a split differ; the
+ascending order alone is routed by value, and the sorted orders look their
+rows' sides up; on the last split level, whose children are all leaves, the
+ascending order alone is routed and partitioned.  Leaves are made where their
+rows are known, so the grower also returns the trees' predictions on its own
+rows, and it sends validation rows down the levels it built to predict them
+too.  Growth raises ``FloatingPointError`` when a sum or square of the
+targets overflows float64, rather than picking splits on infinities.
 """
 
 from __future__ import annotations
@@ -137,35 +143,48 @@ class _StageGrower:
     ``g_flat[cols[j] n + row]``, and its prediction goes to the same place of
     F.  The work of a level runs over blocks of whole nodes in buffers that
     every block and every group reuses, so its temporaries stay in cache.
+    Node ids count up level by level, so a child's id is above its
+    parent's; the splits and leaves made are kept as arrays per level.
+    Once a group's trees are grown, the rows of X_val go down its levels,
+    all trees at once, and their leaves' values go to F_val.
     """
 
-    def __init__(self, X, G, F, params, group):
+    def __init__(self, X, G, F, X_val, F_val, order, params, group):
         self.n, self.d = n, d = X.shape
+        self.n_val = X_val.shape[0]
         self.x_flat = X.ravel(order="F")  # feature k at [k n, k n + n)
         self.g_flat = G.ravel(order="F")  # target column m at [m n, m n + n)
         self.f_flat = F.reshape(-1, order="F")  # a view: leaves write F
+        self.xv_flat = X_val.ravel(order="F")
+        self.fv_flat = F_val.reshape(-1, order="F")
+        # Features whose column holds a value twice.  Only their splits need
+        # a test that the values either side differ.
+        ranked = self.x_flat.take(order + np.arange(d) * n)
+        self.tied = np.flatnonzero((ranked[1:] == ranked[:-1]).any(axis=0))
         self.params = params
         size = (d + 1) * n * group  # a level of every tree of the group
         self.cap = cap = min(max(_BLOCK // d, n), n * group)  # rows per block
         row_id = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-        self.buf = _buffers(acc=(2 * d * cap, float), xs=(d * cap, float),
+        self.buf = _buffers(acc=(2 * d * cap, float),
                             idx=((d + 1) * cap, np.intp), level=(size, row_id),
-                            row=(n * group, row_id), valid=(d * cap, bool), left=(size, bool))
-        self.splits = {}  # node id -> (feature, threshold, left id, right id)
-        self.leaves = {}  # node id -> value
+                            row=(n * group, row_id), valid=(d * cap, bool), left=(size, bool),
+                            side=(G.size, bool))  # per target index: routes left
+        self.splits = []  # (ids, features, thresholds, left ids, right ids)
+        self.leaves = []  # (ids, values)
 
-    def settle(self, level, sizes, cols, ids, shut, means=None):
-        """Make leaves of the ``shut`` nodes of a level.  Their values, the
-        nodes' means (computed here when not given), go into F at their rows."""
-        rows = level[self.d].compress(np.repeat(shut, sizes))
-        sizes = sizes[shut]
-        at = rows + np.repeat(cols[shut] * self.n, sizes)
+    def settle(self, rows, sizes, cols, ids, shut, means=None):
+        """Make leaves of the ``shut`` nodes of a level, given its ascending
+        row ids.  Their values, the nodes' means (computed here when not
+        given), go into F at their rows."""
+        if not shut.all():
+            rows = rows.compress(np.repeat(shut, sizes))
+            sizes, cols, ids = sizes[shut], cols[shut], ids[shut]
+            means = None if means is None else means[shut]
+        at = rows + np.repeat(cols * self.n, sizes)
         if means is None:
             means = _node_sums(self.g_flat.take(at), sizes) / sizes
-        else:
-            means = means[shut]
         self.f_flat[at] = np.repeat(means, sizes)
-        self.leaves.update(zip(ids[shut].tolist(), means.tolist()))
+        self.leaves.append((ids, means))
 
     def stats(self, rows, sizes, cols):
         """Each node's mean, parent SSE and sum of squares, computed as the
@@ -187,49 +206,51 @@ class _StageGrower:
             parent_sse[a:b] = _node_sums(dev, sz)
         return sums[:, 0] / sizes, parent_sse, sums[:, 1]
 
-    def scan(self, level, sizes, cols, parent_sse):
+    def scan(self, level, sizes, cols, parent_sse, last):
         """Best split of every node of a level.
 
         Returns per node the feature, threshold, left-child size and whether
-        it splits, and the (d + 1, T) mask of the positions of ``level``
-        whose row routes left.
+        it splits, and the mask of the positions of ``level`` whose row
+        routes left: of every row, or of row d alone on the ``last`` level,
+        whose children are all leaves.
         """
         d, n, min_leaf = self.d, self.n, self.params.min_samples_leaf
         feat = np.empty(sizes.size, dtype=np.intp)
         thr = np.empty(sizes.size)
         low = np.empty(sizes.size)
         n_left = np.empty(sizes.size, dtype=np.intp)
-        goes_left = _carve(self.buf.left, d + 1, level.shape[1])
-        feature_cols = (np.arange(d) * n)[:, None]
+        goes_left = _carve(self.buf.left, 1 if last else d + 1, level.shape[1])
         for a, b, p0, p1 in _blocks(sizes, self.cap):
             span = p1 - p0
             sz = sizes[a:b]
             st = np.cumsum(sz) - sz
-            last = st + sz - 1
+            end = st + sz - 1
             idx = _carve(self.buf.idx, d + 1, span)
             # Split candidates: between distinct values, leaving min_leaf rows
             # each side.  Position j of a node routes its first j + 1 rows left.
-            xs = _carve(self.buf.xs, d, span)
-            np.add(level[:d, p0:p1], feature_cols, out=idx[:d])
-            np.take(self.x_flat, idx[:d], out=xs, mode="clip")
             n_rows = np.repeat(sz, sz)
             n_lo = np.arange(1, span + 1) - np.repeat(st, sz)
-            valid = _carve(self.buf.valid, d, span)
-            np.not_equal(xs[:, 1:], xs[:, :-1], out=valid[:, :-1])
-            valid &= (n_lo >= min_leaf) & (n_rows - n_lo >= min_leaf)  # never a node's last row
+            invalid = (n_lo < min_leaf) | (n_rows - n_lo < min_leaf)  # a node's last row too
+            if self.tied.size:
+                xs = self.x_flat.take(level[self.tied, p0:p1] + (self.tied * n)[:, None])
+                valid = _carve(self.buf.valid, d, span)
+                np.logical_not(invalid, out=valid)
+                valid[self.tied, :-1] &= xs[:, 1:] != xs[:, :-1]
+                invalid = np.logical_not(valid, out=valid)
             # Cumulative [y; y^2] along each feature's order, one pass per node.
             acc = _carve(self.buf.acc, 2, d, span)
-            np.add(level[:d, p0:p1], np.repeat(cols[a:b] * n, sz), out=idx[:d])
+            to_g = np.repeat(cols[a:b] * n, sz)
+            np.add(level[:d, p0:p1], to_g, out=idx[:d])
             np.take(self.g_flat, idx[:d], out=acc[0], mode="clip")
             np.multiply(acc[0], acc[0], out=acc[1])
             for s, e in zip(st.tolist(), (st + sz).tolist()):
                 np.add.accumulate(acc[:, :, s:e], axis=2, out=acc[:, :, s:e])
-            t1, t2 = np.repeat(acc[:, :, last], sz, axis=2)
+            t1, t2 = np.repeat(acc[:, :, end], sz, axis=2)
             # A node's last position is no split; it repeats the one before,
             # so the formula evaluates nothing there that real splits do not.
-            acc[:, :, last] = acc[:, :, last - 1]
+            acc[:, :, end] = acc[:, :, end - 1]
             n_lo = n_lo.astype(float)
-            n_lo[last] -= 1.0
+            n_lo[end] -= 1.0
             n_hi = n_rows - n_lo
             # SSE of the two children, with the operations of
             #   (c2 - c1 c1 / n_lo) + ((t2 - c2) - (t1 - c1)(t1 - c1) / n_hi),
@@ -245,7 +266,6 @@ class _StageGrower:
             sse /= n_lo
             np.subtract(c2, sse, out=sse)
             sse += t2
-            invalid = np.logical_not(valid, out=valid)
             np.copyto(sse, np.inf, where=invalid)
             # The first minimum: lowest feature index, then lowest threshold.
             mins = np.minimum.reduceat(sse, st, axis=1)
@@ -253,49 +273,81 @@ class _StageGrower:
             f = np.argmax(mins == best, axis=0)
             row = sse[0] if d == 1 else sse.ravel().take(np.repeat(f * span, sz) + np.arange(span))
             hits = np.flatnonzero(row == np.repeat(best, sz))
-            pos = hits[np.searchsorted(hits, st)]
+            pos = p0 + hits[np.searchsorted(hits, st)]
+            at = f * n
             with np.errstate(over="ignore"):  # an infinite midpoint routes every row left
-                t = 0.5 * (xs[f, pos] + xs[f, pos + 1])
-            # Route every row of every order: the mask the partition keeps.
-            np.add(level[:, p0:p1], np.repeat(f * n, sz), out=idx)
-            x_split = _carve(self.buf.acc, d + 1, span)
-            np.take(self.x_flat, idx, out=x_split, mode="clip")
-            mask = goes_left[:, p0:p1]
-            np.less_equal(x_split, np.repeat(t, sz), out=mask)
+                t = 0.5 * (self.x_flat[at + level[f, pos]] + self.x_flat[at + level[f, pos + 1]])
+            # Route row d by value, and the other orders by a lookup of their
+            # rows' sides; with one other order the lookup costs more than the
+            # gather it saves.
+            lookup = d > 1 and not last
+            by_value = d if lookup or last else 0  # the first row routed by value
+            np.add(level[by_value:, p0:p1], np.repeat(at, sz), out=idx[by_value:])
+            x_split = _carve(self.buf.acc, d + 1 - by_value, span)
+            np.take(self.x_flat, idx[by_value:], out=x_split, mode="clip")
+            np.less_equal(x_split, np.repeat(t, sz), out=goes_left[by_value - d - 1:, p0:p1])
+            mask = goes_left[-1, p0:p1]
+            if lookup:
+                np.add(level[d, p0:p1], to_g, out=idx[d])
+                self.buf.side[idx[d]] = mask
+                goes_left[:d, p0:p1] = self.buf.side.take(idx[:d])
             feat[a:b] = f
             thr[a:b] = t
             low[a:b] = best
-            n_left[a:b] = np.add.reduceat(mask[d], st, dtype=np.intp)
+            n_left[a:b] = np.add.reduceat(mask, st, dtype=np.intp)
         split = (np.isfinite(low) & ~(parent_sse - low <= _GAIN_TOL * parent_sse)
                  & (n_left > 0) & (n_left < sizes))  # a midpoint can round onto a data value
         return feat, thr, n_left, split, goes_left
 
-    def partition(self, level, sizes, split, n_left, goes_left):
-        """The next level: the split nodes' left children, then their right
-        children, each row still sorted within every child.  It is written
-        over ``level``, one row at a time through a spare row: row k of the
-        shorter next level ends before row k + 1 of this one begins."""
+    def partition(self, level, sizes, split, goes_left, kid_sizes, kid_open):
+        """The next level: the open children of the split nodes, left
+        children then right children, each row still sorted within every
+        child.  It is written over ``level``, one row at a time through a
+        spare row: row k of the shorter next level ends before row k + 1 of
+        this one begins.  Unless every child is open, also returns the
+        ascending rows of every child, for the leaves made of the others."""
         d = self.d
-        keep = None if split.all() else np.repeat(split, sizes)
-        width = int(n_left[split].sum())
-        total = int(sizes[split].sum())
+        kids = kid_open.size // 2
+        total = int(kid_sizes[kid_open].sum())
         flat = level.reshape(-1)
-        spare = self.buf.row[:total]
-        for k in range(d + 1):
-            to_left = goes_left[k]
-            np.compress(to_left if keep is None else to_left & keep, level[k],
-                        out=spare[:width])
-            to_right = np.logical_not(to_left, out=to_left)
-            np.compress(to_right if keep is None else to_right & keep, level[k],
-                        out=spare[width:])
-            flat[k * total:(k + 1) * total] = spare
-        return flat[:(d + 1) * total].reshape(d + 1, total)
+        spare = self.buf.row
+        every_kid = kid_open.all()
+        if total:
+            keep = []
+            for opened in (kid_open[:kids], kid_open[kids:]):  # left, right
+                node_keeps = np.zeros(sizes.size, bool)
+                node_keeps[split] = opened
+                keep.append(None if node_keeps.all() else np.repeat(node_keeps, sizes))
+            width = int(kid_sizes[:kids][kid_open[:kids]].sum())
+            for k in range(d + 1 if every_kid else d):
+                to_left = goes_left[k]
+                np.compress(to_left if keep[0] is None else to_left & keep[0], level[k],
+                            out=spare[:width])
+                to_right = np.logical_not(to_left, out=to_left)
+                np.compress(to_right if keep[1] is None else to_right & keep[1], level[k],
+                            out=spare[width:total])
+                flat[k * total:(k + 1) * total] = spare[:total]
+        nxt = flat[:(d + 1) * total].reshape(d + 1, total)
+        if every_kid:
+            return nxt, None
+        # Row d: the rows of every child, in the spare row.
+        keep = None if split.all() else np.repeat(split, sizes)
+        width = int(kid_sizes[:kids].sum())
+        kid_rows = spare[:int(kid_sizes.sum())]
+        to_left = goes_left[-1]
+        np.compress(to_left if keep is None else to_left & keep, level[d], out=kid_rows[:width])
+        to_right = np.logical_not(to_left, out=to_left)
+        np.compress(to_right if keep is None else to_right & keep, level[d], out=kid_rows[width:])
+        if total:
+            np.compress(np.repeat(kid_open, kid_sizes), kid_rows, out=nxt[d])
+        return nxt, kid_rows
 
     def grow(self, order, cols):
-        """The trees of target columns ``cols``, their predictions written into F."""
+        """The trees of target columns ``cols``, a run of consecutive
+        columns; their predictions are written into F and F_val."""
         d, n = self.d, self.n
         max_depth, min_leaf = self.params.max_depth, self.params.min_samples_leaf
-        n_trees = cols.size
+        first, n_trees = cols[0], cols.size
         self.splits.clear()
         self.leaves.clear()
         # Level 0: every tree's root, node id m for the m-th tree, holds every row.
@@ -306,56 +358,99 @@ class _StageGrower:
         sizes = np.full(n_trees, n)
         ids = np.arange(n_trees)
         next_id = n_trees
-        for depth in range(max_depth + 1):
-            # At the depth limit, or too small to split: the mean is all they need.
-            shut = (sizes < 2 * min_leaf) if depth < max_depth else np.ones(sizes.size, bool)
-            if shut.any():
-                self.settle(level, sizes, cols, ids, shut)
-                if shut.all():
-                    break
-                level, sizes, cols, ids = _without(shut, level, sizes, cols, ids)
+        levels = 0  # of split nodes grown
+        if n < 2 * min_leaf:  # too small to split: the mean is all they need
+            self.settle(level[d], sizes, cols, ids, np.ones(n_trees, bool))
+            sizes = sizes[:0]  # no node is open
+        while sizes.size:
             means, parent_sse, sum_sq = self.stats(level[d], sizes, cols)
             shut = parent_sse <= _GAIN_TOL * sum_sq  # targets constant within the tolerance
             if shut.any():
-                self.settle(level, sizes, cols, ids, shut, means)
+                self.settle(level[d], sizes, cols, ids, shut, means)
                 if shut.all():
                     break
                 level, sizes, cols, ids, means, parent_sse = _without(
                     shut, level, sizes, cols, ids, means, parent_sse)
-            feat, thr, n_left, split, goes_left = self.scan(level, sizes, cols, parent_sse)
+            last = levels == max_depth - 1
+            feat, thr, n_left, split, goes_left = self.scan(level, sizes, cols, parent_sse, last)
             if not split.all():
-                self.settle(level, sizes, cols, ids, ~split, means)
+                self.settle(level[d], sizes, cols, ids, ~split, means)
                 if not split.any():
                     break
+            levels += 1
             kids = int(np.count_nonzero(split))
             left_ids = np.arange(next_id, next_id + kids)
+            self.splits.append((ids[split], feat[split], thr[split], left_ids, left_ids + kids))
+            ids = np.arange(next_id, next_id + 2 * kids)
             next_id += 2 * kids
-            self.splits.update(zip(ids[split].tolist(), zip(
-                feat[split].tolist(), thr[split].tolist(),
-                left_ids.tolist(), (left_ids + kids).tolist())))
-            level = self.partition(level, sizes, split, n_left, goes_left)
-            sizes = np.concatenate((n_left[split], (sizes - n_left)[split]))
             cols = np.concatenate((cols[split], cols[split]))
-            ids = np.arange(next_id - 2 * kids, next_id)
+            kid_sizes = np.concatenate((n_left[split], (sizes - n_left)[split]))
+            # Children at the depth limit, or too small to split, are leaves
+            # now: the mean is all they need.
+            kid_open = np.zeros(2 * kids, bool) if last else kid_sizes >= 2 * min_leaf
+            level, kid_rows = self.partition(level, sizes, split, goes_left, kid_sizes, kid_open)
+            sizes = kid_sizes
+            if not kid_open.all():
+                self.settle(kid_rows, sizes, cols, ids, ~kid_open)
+                sizes, cols, ids = sizes[kid_open], cols[kid_open], ids[kid_open]
+        nodes = self.nodes(next_id)
+        self.predict_val(nodes, levels, first, n_trees)
+        return self.build(nodes, n_trees)
 
-        return [RegressionTree(root=self.build(m), n_features=d) for m in range(n_trees)]
+    def nodes(self, n_nodes):
+        """The node records as arrays indexed by node id: feature,
+        threshold, left and right child id, and value.  A leaf is its own
+        left and right child, with threshold +inf; a split has value 0."""
+        feat = np.zeros(n_nodes, dtype=np.intp)
+        thr = np.full(n_nodes, np.inf)
+        left = np.arange(n_nodes)
+        right = np.arange(n_nodes)
+        value = np.zeros(n_nodes)
+        for ids, f, t, lo, hi in self.splits:
+            feat[ids], thr[ids], left[ids], right[ids] = f, t, lo, hi
+        for ids, v in self.leaves:
+            value[ids] = v
+        return feat, thr, left, right, value
 
-    def build(self, node_id):
-        if node_id in self.leaves:
-            return Leaf(self.leaves[node_id])
-        feat, threshold, left, right = self.splits[node_id]
-        return Split(feat, threshold, self.build(left), self.build(right))
+    def predict_val(self, nodes, levels, first, n_trees):
+        """Send the validation rows down the ``levels`` levels of split
+        nodes of trees ``first`` .. ``first + n_trees - 1``, all trees at
+        once, and write their leaves' values into F_val."""
+        feat, thr, left, right, value = nodes
+        n_val = self.n_val
+        rows = np.tile(np.arange(n_val), n_trees)
+        node = np.repeat(np.arange(n_trees), n_val)
+        x_at = feat * n_val
+        for _ in range(levels):
+            goes_left = self.xv_flat.take(x_at.take(node) + rows) <= thr.take(node)
+            node = np.where(goes_left, left.take(node), right.take(node))
+        self.fv_flat[first * n_val:(first + n_trees) * n_val] = value.take(node)
+
+    def build(self, nodes, n_trees):
+        """The trees from the node records, children before parents."""
+        feat, thr, left, right, value = (a.tolist() for a in nodes)
+        built = [None] * len(value)
+        for i in range(len(value) - 1, -1, -1):
+            if left[i] == i:
+                built[i] = Leaf(value[i])
+            else:
+                built[i] = Split(feat[i], thr[i], built[left[i]], built[right[i]])
+        return [RegressionTree(root=built[m], n_features=self.d) for m in range(n_trees)]
 
 
-def fit_stage(X, G, params: TreeParams | None = None, order=None):
+def fit_stage(X, G, params: TreeParams | None = None, order=None, X_val=None):
     """Grow one regression tree per column of ``G`` on the rows of ``X``.
 
     Returns ``(trees, F)``: the M trees, and the (n, M) column-major array
     whose column m is ``predict_tree_batch(trees[m], X)``, bit for bit.
-    ``order`` must equal ``np.argsort(X, axis=0, kind="stable")``; it is
-    computed when not given.  Callers that grow many stages on one X pass it
-    so that X is sorted once.  Raises ``FloatingPointError`` if a sum or a
-    square of the targets overflows.
+    Given validation rows ``X_val`` (n_val, d), it returns
+    ``(trees, F, F_val)``, where F_val is the (n_val, M) column-major array
+    of the trees' predictions on them, bit for bit as well; the grower
+    routes them down the levels it builds.  ``order`` must equal
+    ``np.argsort(X, axis=0, kind="stable")``; it is computed when not
+    given.  Callers that grow many stages on one X pass it so that X is
+    sorted once.  Raises ``FloatingPointError`` if a sum or a square of the
+    targets overflows.
     """
     params = params or TreeParams()
     X = np.asfortranarray(np.atleast_2d(np.asarray(X, dtype=float)))
@@ -372,16 +467,22 @@ def fit_stage(X, G, params: TreeParams | None = None, order=None):
         order = np.argsort(X, axis=0, kind="stable")
     elif np.shape(order) != X.shape:
         raise ValueError(f"order has shape {np.shape(order)}, X has {X.shape}")
+    rows_val = X[:0] if X_val is None else np.asfortranarray(X_val, dtype=float)
+    if rows_val.ndim != 2 or rows_val.shape[1] != X.shape[1]:
+        raise ValueError(f"X_val has shape {rows_val.shape}, X has {X.shape}")
     n, d = X.shape
     F = np.empty(G.shape, order="F")
+    F_val = np.empty((rows_val.shape[0], G.shape[1]), order="F")
     # Grow the trees in groups whose levels hold at most _LEVEL row ids.
     group = max(1, min(G.shape[1], _LEVEL // ((d + 1) * n)))
-    grower = _StageGrower(X, G, F, params, group)
+    grower = _StageGrower(X, G, F, rows_val, F_val, order, params, group)
     trees = []
     with np.errstate(over="raise"):
         for first in range(0, G.shape[1], group):
             trees += grower.grow(order, np.arange(first, min(first + group, G.shape[1])))
-    return tuple(trees), F
+    if X_val is None:
+        return tuple(trees), F
+    return tuple(trees), F, F_val
 
 
 def fit_tree(X, targets, params: TreeParams | None = None, order=None) -> RegressionTree:

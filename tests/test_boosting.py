@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import warnings
 
@@ -211,6 +212,35 @@ class TestEarlyStopping:
         Xv, Yv = small_dataset(n=100, seed=7)
         model = fit(X, Y, Xv, Yv, BoostConfig(n_stages_max=500, patience=0, learning_rate=0.1))
         assert len(model.stages) == model.best_stage + 1 or model.best_stage == len(model.stages)
+
+
+class TestValidationRows:
+    """The validation predictions come from the tree grower, which routes
+    the validation rows down the levels it builds."""
+
+    @staticmethod
+    def _data():
+        X, Y = small_dataset(n=260, seed=11)
+        rng = np.random.default_rng(11)
+        X = np.column_stack([X, np.round(rng.normal(size=len(X)), 1)])  # a tied column
+        return X[:180], Y[:180], X[180:], Y[180:]
+
+    def test_val_path_is_the_nll_of_the_truncated_model(self):
+        X, Y, Xv, Yv = self._data()
+        model = fit(X, Y, Xv, Yv, BoostConfig(n_stages_max=15, patience=3, learning_rate=0.2))
+        assert len(model.val_nll_path) == len(model.stages) + 1
+        for b, val_nll in enumerate(model.val_nll_path):
+            thetas = predict_theta(dataclasses.replace(model, best_stage=b), Xv)
+            assert val_nll == float(np.mean(nll_batch(thetas, Yv, 2)))
+
+    def test_validation_rows_do_not_change_the_stages(self):
+        X, Y, Xv, Yv = self._data()
+        config = BoostConfig(n_stages_max=8, patience=100, learning_rate=0.1,
+                             tree_params=TreeParams(max_depth=4, min_samples_leaf=3))
+        with_val = fit(X, Y, Xv, Yv, config)
+        without = fit(X, Y, config=config)
+        assert with_val.stages == without.stages
+        assert with_val.train_nll_path == without.train_nll_path
 
 
 class TestIndependent:

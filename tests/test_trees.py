@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -332,6 +334,55 @@ def tie_heavy_stages(draw):
     return X, np.column_stack([ys, G]), params
 
 
+def midpoints_between(column):
+    """Whether each midpoint of neighbouring sorted values lies strictly
+    between them.  It does not between adjacent doubles, where
+    ``reference_tree`` would make an empty child; the grower makes a leaf
+    there (``test_midpoint_rounded_onto_a_value``)."""
+    ranked = np.sort(column)
+    mid = 0.5 * (ranked[1:] + ranked[:-1])
+    return bool(np.all((ranked[:-1] < mid) & (mid < ranked[1:])))
+
+
+@st.composite
+def tie_free_stages(draw):
+    """One stage's trees on continuous columns, where no column repeats a
+    value, or on one tied column next to one tie-free column."""
+    n = draw(st.integers(2, 80))
+    distinct = arrays(float, n, unique=True,
+                      elements=st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+                      ).filter(midpoints_between)
+    if draw(st.booleans()):
+        X = np.column_stack([draw(distinct) for _ in range(draw(st.integers(1, 4)))])
+    else:
+        tied = draw(arrays(float, n, elements=st.integers(-5, 5).map(lambda v: v / 10)))
+        columns = [tied, draw(distinct)]
+        X = np.column_stack(columns if draw(st.booleans()) else columns[::-1])
+    G = draw(arrays(float, (n, draw(st.integers(1, 4))),
+                    elements=st.floats(-10, 10, allow_nan=False)))
+    params = TreeParams(max_depth=draw(st.integers(1, 4)),
+                        min_samples_leaf=draw(st.integers(1, 5)))
+    return X, G, params
+
+
+def small_levels(small):
+    """Levels of one tree and blocks of a few nodes, when ``small``."""
+    return mock.patch.multiple(trees, _LEVEL=1, _BLOCK=64) if small else contextlib.nullcontext()
+
+
+def rows_on_thresholds(X, stage):
+    """X, and rows of X moved onto each split's threshold (which routes them
+    left) and onto the next double above it."""
+    rows = [X]
+    for tree in stage:
+        for split in _splits(tree.root):
+            for value in (split.threshold, np.nextafter(split.threshold, np.inf)):
+                moved = X[:3].copy()
+                moved[:, split.feature_index] = value
+                rows.append(moved)
+    return np.vstack(rows)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # growth computes no inf or nan
 class TestFitStage:
     @settings(max_examples=300, deadline=None)
@@ -402,3 +453,33 @@ class TestFitStage:
             fit_stage(X, np.zeros((4, 1)), order=np.zeros((4, 1), dtype=int))
         with pytest.raises(EmptyTrainingSetError):
             fit_stage(np.empty((0, 2)), np.empty((0, 1)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_free_stages(), st.booleans())
+    def test_tie_free_columns_give_the_reference_trees(self, problem, small):
+        X, G, params = problem
+        with small_levels(small):
+            stage, F = fit_stage(X, G, params)
+        for m, tree in enumerate(stage):
+            assert tree.root == reference_tree(X, G[:, m], params)
+            assert np.array_equal(F[:, m], predict_tree_batch(tree, X))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(tie_heavy_stages(), tie_free_stages()), st.booleans())
+    def test_validation_predictions_are_the_trees_predictions(self, problem, small):
+        X, G, params = problem
+        stage, F = fit_stage(X, G, params)
+        X_val = rows_on_thresholds(X, stage)
+        with small_levels(small):
+            val_stage, val_F, F_val = fit_stage(X, G, params, X_val=X_val)
+        assert val_stage == stage and np.array_equal(val_F, F)
+        assert F_val.shape == (len(X_val), G.shape[1]) and F_val.flags.f_contiguous
+        for m, tree in enumerate(stage):
+            assert np.array_equal(F_val[:, m], predict_tree_batch(tree, X_val))
+
+    def test_validation_rows_shape_checked(self):
+        X, G = np.arange(8.0).reshape(4, 2), np.arange(4.0).reshape(4, 1)
+        stage, F, F_val = fit_stage(X, G, X_val=X[:0])
+        assert F_val.shape == (0, 1)
+        with pytest.raises(ValueError, match="X_val"):
+            fit_stage(X, G, X_val=np.zeros((3, 3)))
