@@ -136,8 +136,9 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
         config: BoostConfig | None = None) -> BoostModel:
     """Run the boosting loop for the Gaussian over Y_train's p columns.
 
-    A 1-D Y_train is one column, p = 1.  With an empty validation set there
-    is no early stopping and all fitted stages are used.
+    A 1-D Y_train is one column, p = 1.  X_val and Y_val come together; with
+    neither, or both empty, there is no early stopping and all fitted stages
+    are used.
     """
     config = config or BoostConfig()
     # Column-major: tree growth and prediction read X one feature at a time.
@@ -149,7 +150,9 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
         raise ValueError("X_train and Y_train row counts differ")
     p = Y_train.shape[1]
 
-    have_val = X_val is not None and Y_val is not None and len(np.atleast_1d(Y_val)) > 0
+    if (X_val is None) != (Y_val is None):
+        raise ValueError("X_val and Y_val must be given together")
+    have_val = X_val is not None and (np.size(X_val) > 0 or np.size(Y_val) > 0)
     if have_val:
         X_val = np.asfortranarray(np.atleast_2d(np.asarray(X_val, dtype=float)))
         Y_val = np.asarray(Y_val, dtype=float)
@@ -228,6 +231,8 @@ def predict_theta(model: BoostModel, X) -> np.ndarray:
         raise ValueError(
             f"model expects {model.n_features} features, got {X.shape[1]}"
         )
+    if not np.all(np.isfinite(X)):
+        raise ValueError("features must be finite")
     # column-major while the stages add up, as in fit; returned row-major
     thetas = np.asfortranarray(np.tile(model.theta0, (X.shape[0], 1)))
     lr = model.config.learning_rate

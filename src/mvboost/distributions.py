@@ -16,9 +16,10 @@ The Fisher information is block-diagonal (the mean block, then one block per
 row i of L), so the natural gradient needs no solve: it is z = mu - y for the
 means and (L_i^T L_i - l_i l_i^T / 2) g_i for row i, by Sherman-Morrison.
 
-The negative log-likelihood, which the line search evaluates 16 times per
-stage, is computed from the rows of L on column vectors and never builds the
-(n, p, p) factor.
+The NLL, score, Mahalanobis distance and KL divergence take eta = L (mu - y)
+from one kernel over the rows of L on column vectors; only the natural
+gradient's matrix products, the covariance, sampling and the reference
+implementations build the (n, p, p) factor, with :func:`scale_matrices`.
 
 All core computations have batch variants operating on an (n, M) array of
 parameter rows; these are what the boosting loop consumes.  They accept any
@@ -33,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 # The diagonal of L carries no floor.  Only fitbench reads this name, and it
 # must stay exactly 0.0 so that the benchmark oracle and the program agree.
@@ -118,74 +118,76 @@ def scale_matrices(thetas: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def whiten_batch(thetas, Ys, p):
-    """Factors L, residuals z = mu - y and whitened residuals eta = L z, per row."""
+def _checked(thetas, Ys, p):
+    """The (n, M) theta batch and (n, p) observation batch as float arrays,
+    refused unless their shapes fit p and every theta entry is finite."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     Ys = np.atleast_2d(np.asarray(Ys, dtype=float))
     if Ys.shape[1] != p or Ys.shape[0] != thetas.shape[0]:
-        raise InvalidParameterError(
-            f"observation batch shape {Ys.shape} does not match (n, {p})"
-        )
-    L = scale_matrices(thetas, p)
-    # einsum's summation order follows its operands' layout; a row-major z
-    # makes eta, and all that is built from it, the same for any input layout.
-    z = np.subtract(thetas[:, :p], Ys, order="C")
-    eta = np.einsum("nij,nj->ni", L, z)
-    return L, z, eta
+        raise InvalidParameterError(f"observation batch shape {Ys.shape} does not match (n, {p})")
+    if thetas.shape[1] != param_count(p):
+        raise InvalidParameterError(f"theta batch has {thetas.shape[1]} columns, "
+                                    f"p={p} needs {param_count(p)}")
+    if not np.all(np.isfinite(thetas)):
+        raise InvalidParameterError("theta entries must be finite")
+    return thetas, Ys
+
+
+def _diag_columns(p):
+    """Theta column of each nu_ii; nu_ij (j >= i) is j - i columns further."""
+    return [p + i * p - i * (i - 1) // 2 for i in range(p)]
+
+
+def _whiten_rows(thetas, Ys, p):
+    """The checked theta batch, z = mu - y, and for each row i of L its
+    diagonal a_ii = exp(nu_ii) and eta_i = a_ii z_i + sum_{j>i} nu_ij z_j:
+    eta = L z, with z, a and eta as lists of column vectors."""
+    thetas, Ys = _checked(thetas, Ys, p)
+    z = [thetas[:, j] - Ys[:, j] for j in range(p)]
+    a, eta = [], []
+    for i, k in enumerate(_diag_columns(p)):
+        a.append(np.exp(thetas[:, k]))
+        e = a[i] * z[i]
+        for j in range(i + 1, p):
+            e += thetas[:, k + j - i] * z[j]
+        eta.append(e)
+    return thetas, z, a, eta
+
+
+def whitened_sq(thetas, Ys, p):
+    """Per row, (sum_i eta_i^2, sum_i log a_ii): the squared Mahalanobis
+    distance of y from mu, and -log|Sigma| / 2.  Summed over i in order, with
+    log a_ii taken of exp(nu_ii), both are bit-identical to whitening with the
+    dense factor for p <= 2."""
+    _, _, a, eta = _whiten_rows(thetas, Ys, p)
+    sq, log_det = eta[0] * eta[0], np.log(a[0])
+    for i in range(1, p):
+        sq += eta[i] * eta[i]
+        log_det += np.log(a[i])
+    return sq, log_det
 
 
 def nll_batch(thetas, Ys, p) -> np.ndarray:
-    """Per-row negative log-likelihood: sum_i(eta_i^2/2 - log a_ii) + const.
-
-    One pass over the rows i of L on column vectors, with no (n, p, p) array:
-    eta_i = a_ii z_i + sum_{j>i} nu_ij z_j.  The sums run over i in order and
-    log a_ii is taken of exp(nu_ii), so for p <= 2 the result is bit-identical
-    to whitening with the dense factor.
-    """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    Ys = np.atleast_2d(np.asarray(Ys, dtype=float))
-    if Ys.shape[1] != p or Ys.shape[0] != thetas.shape[0]:
-        raise InvalidParameterError(
-            f"observation batch shape {Ys.shape} does not match (n, {p})"
-        )
-    if thetas.shape[1] != param_count(p):
-        raise InvalidParameterError(
-            f"theta batch has {thetas.shape[1]} columns, p={p} needs {param_count(p)}"
-        )
-    if not np.all(np.isfinite(thetas)):
-        raise InvalidParameterError("theta entries must be finite")
-    z = [thetas[:, j] - Ys[:, j] for j in range(p)]
-    k = p  # theta column of nu_ii
-    for i in range(p):
-        a = np.exp(thetas[:, k])
-        eta = a * z[i]
-        for j in range(i + 1, p):
-            eta += thetas[:, k + j - i] * z[j]
-        if i == 0:
-            sq, log_det = eta * eta, np.log(a)
-        else:
-            sq += eta * eta
-            log_det += np.log(a)
-        k += p - i
+    """Per-row negative log-likelihood: sum_i(eta_i^2/2 - log a_ii) + const."""
+    sq, log_det = whitened_sq(thetas, Ys, p)
     return 0.5 * sq - log_det + 0.5 * p * _LOG_2PI
 
 
 def score_batch(thetas, Ys, p) -> np.ndarray:
     """Gradient of the negative log-likelihood w.r.t. theta, per row.
 
-    Mean block is L^T eta; nu entries are eta_i z_j, and the diagonal entries
-    carry the chain factor a_ii = exp(nu_ii) and the log-determinant term, so
-    d/d nu_ii = eta_i z_i a_ii - 1.
+    Mean block is L^T eta, added up over the rows of L; nu entries are
+    eta_i z_j, and the diagonal entries carry the chain factor a_ii and the
+    log-determinant term, so d/d nu_ii = eta_i z_i a_ii - 1.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    L, z, eta = whiten_batch(thetas, Ys, p)
-    rows, cols = np.triu_indices(p)
-    diag = rows == cols
-    grad = np.empty_like(thetas)
-    grad[:, :p] = np.einsum("nji,nj->ni", L, eta)
-    g_nu = eta[:, rows] * z[:, cols]
-    g_nu[:, diag] = g_nu[:, diag] * L[:, np.arange(p), np.arange(p)] - 1.0
-    grad[:, p:] = g_nu
+    thetas, z, a, eta = _whiten_rows(thetas, Ys, p)
+    grad = np.zeros_like(thetas)
+    for i, k in enumerate(_diag_columns(p)):
+        grad[:, i] += a[i] * eta[i]
+        grad[:, k] = eta[i] * z[i] * a[i] - 1.0
+        for j in range(i + 1, p):
+            grad[:, j] += thetas[:, k + j - i] * eta[i]
+            grad[:, k + j - i] = eta[i] * z[j]
     return grad
 
 
@@ -250,8 +252,11 @@ def natural_gradient_batch(thetas, Ys, p) -> np.ndarray:
     once by upper-triangular masking; the diagonal entries then divide by the
     chain factor exp(nu_ii).
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    L, z, eta = whiten_batch(thetas, Ys, p)
+    thetas, Ys = _checked(thetas, Ys, p)
+    L = scale_matrices(thetas, p)
+    # A row-major z makes einsum's eta, and all built from it, layout-free.
+    z = np.subtract(thetas[:, :p], Ys, order="C")
+    eta = np.einsum("nij,nj->ni", L, z)
     rows, cols = np.triu_indices(p)
     idx = np.arange(p)
     # gradient of the NLL in the entries of L
@@ -282,14 +287,9 @@ def sample_each(thetas, p, rng) -> np.ndarray:
 
 
 def to_moment_form(theta: ThetaVector) -> MomentForm:
-    """Convert to (mean, covariance) by triangular solves on L."""
-    p = theta.dim_p
-    L = scale_matrices(theta.values, p)[0]
-    # Sigma = L^{-1} L^{-T}: two triangular solves, never a dense inverse.
-    inv_l = solve_triangular(L, np.eye(p), lower=False)
-    cov = inv_l @ inv_l.T
-    cov = 0.5 * (cov + cov.T)
-    return MomentForm(mean=theta.mean.copy(), covariance=cov)
+    """Convert to (mean, covariance)."""
+    return MomentForm(mean=theta.mean.copy(),
+                      covariance=covariance_batch(theta.values, theta.dim_p)[0])
 
 
 def nll(theta: ThetaVector, y) -> float:
@@ -400,23 +400,30 @@ def kl_divergence(theta_true: ThetaVector, theta_pred: ThetaVector) -> float:
 
 
 def kl_divergence_batch(thetas_true, thetas_pred, p) -> np.ndarray:
-    """Row-wise KL(true || pred) for two theta batches."""
+    """Row-wise KL(true || pred) for two theta batches, from the rows of L.
+
+    The quadratic term whitens mu_true under pred.  The trace term is
+    ||W||_F^2 for the upper-triangular W = L_pred L_true^{-1}, whose row i
+    solves w L_true = row i of L_pred by forward substitution over j >= i.
+    """
     thetas_true = np.atleast_2d(np.asarray(thetas_true, dtype=float))
     thetas_pred = np.atleast_2d(np.asarray(thetas_pred, dtype=float))
     if thetas_true.shape != thetas_pred.shape:
         raise InvalidParameterError("theta batches must have matching shapes")
-    l_true = scale_matrices(thetas_true, p)
-    l_pred = scale_matrices(thetas_pred, p)
-    sigma_true = covariance_batch(thetas_true, p)
-    delta = np.subtract(thetas_pred[:, :p], thetas_true[:, :p], order="C")  # as in whiten_batch
-    trace_term = np.einsum("nij,nij->n", np.einsum("nij,njk->nik", l_pred, sigma_true), l_pred)
-    quad_term = np.sum(np.einsum("nij,nj->ni", l_pred, delta) ** 2, axis=1)
-    idx = np.arange(p)
-    log_det_ratio = 2.0 * (
-        np.sum(np.log(l_true[:, idx, idx]), axis=1)
-        - np.sum(np.log(l_pred[:, idx, idx]), axis=1)
-    )
-    return 0.5 * (trace_term + quad_term - p + log_det_ratio)
+    quad_term, log_a_pred = whitened_sq(thetas_pred, thetas_true[:, :p], p)
+    _, log_a_true = whitened_sq(thetas_true, thetas_true[:, :p], p)
+    diag = _diag_columns(p)
+    a_true = [np.exp(thetas_true[:, k]) for k in diag]
+    trace_term = np.zeros(thetas_true.shape[0])
+    for i, k in enumerate(diag):
+        w = []  # w[j - i] = W_ij
+        for j in range(i, p):
+            r = np.exp(thetas_pred[:, k]) if j == i else thetas_pred[:, k + j - i].copy()
+            for q in range(i, j):
+                r -= w[q - i] * thetas_true[:, diag[q] + j - q]
+            w.append(r / a_true[j])
+            trace_term += w[-1] * w[-1]
+    return 0.5 * (trace_term + quad_term - p + 2.0 * (log_a_true - log_a_pred))
 
 
 def _as_rng(rng_seed):

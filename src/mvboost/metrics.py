@@ -5,8 +5,8 @@ divergence to a known generating distribution, and elliptical prediction
 regions: an observation is covered at level alpha when its squared Mahalanobis
 distance is below the chi-square quantile with p degrees of freedom, and the
 region's area follows from the chi-square radius and the covariance
-determinant.  Mahalanobis terms are computed through the triangular factor
-(no explicit covariance inverse).
+determinant.  Both come from the rows of L, never L as a matrix: the distance
+is ||L (mu - y)||^2 from ``whitened_sq``, and |Sigma|^{1/2} = exp(-sum_i nu_ii).
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaincinv
 
-from .distributions import (
-    ThetaVector,
-    kl_divergence_batch,
-    nll_batch,
-    scale_matrices,
-    whiten_batch,
-)
+from .distributions import ThetaVector, kl_divergence_batch, nll_batch, whitened_sq
 
 
 @dataclass(frozen=True)
@@ -78,8 +72,7 @@ def chi2_quantile(p_dof: int, alpha: float) -> float:
 
 def mahalanobis_sq(thetas, Ys, p) -> np.ndarray:
     """(y - mu)^T Sigma^{-1} (y - mu) per row, as ||L (mu - y)||^2."""
-    _, _, eta = whiten_batch(thetas, Ys, p)
-    return np.sum(eta * eta, axis=1)
+    return whitened_sq(thetas, Ys, p)[0]
 
 
 def pr_covered(theta: ThetaVector, y, alpha: float) -> bool:
@@ -97,9 +90,8 @@ def pr_area_batch(thetas, p, alpha) -> np.ndarray:
     """(2 pi)^{p/2} / (p Gamma(p/2)) * chi2_{p,alpha}^{p/2} * |Sigma|^{1/2} per row."""
     quantile = chi2_quantile(p, alpha)
     const = (2.0 * math.pi) ** (p / 2.0) / (p * math.gamma(p / 2.0))
-    L = scale_matrices(thetas, p)
-    idx = np.arange(p)
-    sqrt_det_sigma = 1.0 / np.prod(L[:, idx, idx], axis=1)
+    rows, cols = np.triu_indices(p)
+    sqrt_det_sigma = np.exp(-np.sum(np.atleast_2d(thetas)[:, p:][:, rows == cols], axis=1))
     return const * quantile ** (p / 2.0) * sqrt_det_sigma
 
 

@@ -125,13 +125,6 @@ def _buffers(**parts):
     return SimpleNamespace(**out)
 
 
-def _without(shut, level, sizes, *per_node):
-    """The level and the per-node arrays with the ``shut`` nodes taken out."""
-    keep = ~shut
-    return (level.compress(np.repeat(keep, sizes), axis=1), sizes[keep],
-            *(a[keep] for a in per_node))
-
-
 class _StageGrower:
     """Level-wise growth of the trees of one stage; see :func:`fit_stage`.
 
@@ -206,13 +199,14 @@ class _StageGrower:
             parent_sse[a:b] = _node_sums(dev, sz)
         return sums[:, 0] / sizes, parent_sse, sums[:, 1]
 
-    def scan(self, level, sizes, cols, parent_sse, last):
+    def scan(self, level, sizes, cols, parent_sse, sum_sq, last):
         """Best split of every node of a level.
 
         Returns per node the feature, threshold, left-child size and whether
-        it splits, and the mask of the positions of ``level`` whose row
-        routes left: of every row, or of row d alone on the ``last`` level,
-        whose children are all leaves.
+        it splits (not if its targets are constant within the tolerance, or
+        no split gains), and the mask of the positions of ``level`` whose
+        row routes left: of every row, or of row d alone on the ``last``
+        level, whose children are all leaves.
         """
         d, n, min_leaf = self.d, self.n, self.params.min_samples_leaf
         feat = np.empty(sizes.size, dtype=np.intp)
@@ -295,7 +289,8 @@ class _StageGrower:
             thr[a:b] = t
             low[a:b] = best
             n_left[a:b] = np.add.reduceat(mask, st, dtype=np.intp)
-        split = (np.isfinite(low) & ~(parent_sse - low <= _GAIN_TOL * parent_sse)
+        split = (~(parent_sse <= _GAIN_TOL * sum_sq) & np.isfinite(low)
+                 & ~(parent_sse - low <= _GAIN_TOL * parent_sse)
                  & (n_left > 0) & (n_left < sizes))  # a midpoint can round onto a data value
         return feat, thr, n_left, split, goes_left
 
@@ -364,15 +359,9 @@ class _StageGrower:
             sizes = sizes[:0]  # no node is open
         while sizes.size:
             means, parent_sse, sum_sq = self.stats(level[d], sizes, cols)
-            shut = parent_sse <= _GAIN_TOL * sum_sq  # targets constant within the tolerance
-            if shut.any():
-                self.settle(level[d], sizes, cols, ids, shut, means)
-                if shut.all():
-                    break
-                level, sizes, cols, ids, means, parent_sse = _without(
-                    shut, level, sizes, cols, ids, means, parent_sse)
             last = levels == max_depth - 1
-            feat, thr, n_left, split, goes_left = self.scan(level, sizes, cols, parent_sse, last)
+            feat, thr, n_left, split, goes_left = self.scan(level, sizes, cols, parent_sse,
+                                                            sum_sq, last)
             if not split.all():
                 self.settle(level[d], sizes, cols, ids, ~split, means)
                 if not split.any():

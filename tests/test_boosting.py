@@ -153,6 +153,17 @@ class TestFit:
         with pytest.raises(ValueError, match="features"):
             predict_theta(model, np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("independent", [False, True], ids=["joint", "independent"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_refused_at_predict(self, independent, bad):
+        X, Y = small_dataset(n=50)
+        model = (fit_independent if independent else fit)(X, Y, config=BoostConfig(n_stages_max=2))
+        predict = model.predict_theta if independent else functools.partial(predict_theta, model)
+        X_bad = X.copy()
+        X_bad[7, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            predict(X_bad)
+
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_memory_layout_of_x_does_not_matter(self, layout):
         rng = np.random.default_rng(3)
@@ -295,6 +306,27 @@ class TestValidationInputs:
         fitter = fit_independent if independent else fit
         with pytest.raises(ValueError, match="not fit"):
             fitter(X, Y, Xv, val_targets(Yv), BoostConfig(n_stages_max=2))
+
+
+    @pytest.mark.parametrize("independent", [False, True], ids=["joint", "independent"])
+    @pytest.mark.parametrize("given", ["X_val", "Y_val"])
+    def test_half_given_validation_set(self, independent, given):
+        X, Y = small_dataset(n=60)
+        Xv, Yv = small_dataset(n=30, seed=1)
+        val = (Xv, None) if given == "X_val" else (None, Yv)
+        fitter = fit_independent if independent else fit
+        with pytest.raises(ValueError, match="together"):
+            fitter(X, Y, *val, BoostConfig(n_stages_max=2))
+
+    @pytest.mark.parametrize("independent", [False, True], ids=["joint", "independent"])
+    def test_empty_validation_set_means_no_early_stopping(self, independent):
+        X, Y = small_dataset(n=60)
+        fitter = fit_independent if independent else fit
+        model = fitter(X, Y, np.empty((0, 1)), np.empty((0, 2)),
+                       BoostConfig(n_stages_max=4, patience=0))
+        for sub in model.models if independent else (model,):
+            assert sub.best_stage == len(sub.stages) == 4
+            assert sub.val_nll_path == ()
 
 
 class TestConfigValidation:

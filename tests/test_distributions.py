@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,7 +233,32 @@ class TestNll:
             dist.nll_batch(thetas, Ys, p)
 
 
+def dense_score(thetas, Ys, p):
+    """The score by whitening with the dense (n, p, p) factor L: the oracle
+    for the row-of-L score in dist.score_batch."""
+    L = dist.scale_matrices(thetas, p)
+    z = thetas[:, :p] - Ys
+    eta = np.einsum("nij,nj->ni", L, z)
+    rows, cols = np.triu_indices(p)
+    g_nu = eta[:, rows] * z[:, cols]
+    diag = rows == cols
+    g_nu[:, diag] = g_nu[:, diag] * L[:, rows[diag], cols[diag]] - 1.0
+    return np.concatenate([np.einsum("nji,nj->ni", L, eta), g_nu], axis=1)
+
+
 class TestScore:
+    @settings(max_examples=300, deadline=None)
+    @given(nll_batches())
+    def test_batch_matches_dense_oracle(self, case):
+        # bit-identical for p <= 2, which keeps plain-gradient fits of two
+        # targets unchanged; beyond, the sums over j run in another order
+        p, thetas, Ys = case
+        got = dist.score_batch(thetas, Ys, p)
+        want = dense_score(thetas, Ys, p)
+        if p <= 2:
+            assert np.array_equal(got, want)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
     def test_zero_residual_gradient(self):
         rng = np.random.default_rng(4)
         theta = random_theta(rng, 3)
@@ -473,12 +502,13 @@ class TestKl:
         for p in (1, 2, 3):
             assert dist.kl_divergence(random_theta(rng, p), random_theta(rng, p)) >= 0
 
-    def test_batch_matches_single(self):
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
+    def test_batch_matches_single(self, p):
         rng = np.random.default_rng(16)
-        t1 = random_theta(rng, 2)
-        t2 = random_theta(rng, 2)
+        t1 = random_theta(rng, p)
+        t2 = random_theta(rng, p)
         batch = dist.kl_divergence_batch(
-            t1.values[None, :], t2.values[None, :], 2
+            t1.values[None, :], t2.values[None, :], p
         )
         assert batch[0] == pytest.approx(dist.kl_divergence(t1, t2), rel=1e-10)
 
@@ -491,6 +521,16 @@ class TestKl:
         for layout in LAYOUTS:
             got = dist.kl_divergence_batch(in_layout(t1, layout), in_layout(t2, layout), p)
             assert np.array_equal(got, want)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # Importing scipy.linalg costs about 6 MB of resident memory that nothing
+    # in the package needs.
+    src = os.path.dirname(os.path.dirname(dist.__file__))
+    code = "import sys, mvboost; print('scipy.linalg' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip() == "False"
 
 
 class TestUnivariate:

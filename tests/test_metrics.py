@@ -1,10 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from mvboost.distributions import ThetaVector, fit_theta_from_moments, sample
+from mvboost.distributions import (
+    ThetaVector,
+    fit_theta_from_moments,
+    param_count,
+    sample,
+    to_moment_form,
+)
 from mvboost.metrics import (
     MetricsReport,
     chi2_cdf,
@@ -73,6 +80,18 @@ class TestPointMetrics:
         theta = theta_from_cov([0.0, 0.0], np.eye(2))
         d2 = mahalanobis_sq(theta[None, :], np.array([[3.0, 4.0]]), 2)
         assert d2[0] == pytest.approx(25.0, rel=1e-4)
+
+
+    @pytest.mark.parametrize("p", [3, 5, 10])
+    def test_mahalanobis_matches_covariance_solve(self, p):
+        rng = np.random.default_rng(30 + p)
+        thetas = 0.5 * rng.normal(size=(40, param_count(p)))
+        Ys = rng.normal(size=(40, p))
+        got = mahalanobis_sq(thetas, Ys, p)
+        for theta, y, d2 in zip(thetas, Ys, got):
+            cov = to_moment_form(ThetaVector(theta, p)).covariance
+            resid = y - theta[:p]
+            assert d2 == pytest.approx(resid @ np.linalg.solve(cov, resid), rel=1e-9)
 
 
 class TestPredictionRegion:
@@ -146,6 +165,21 @@ class TestEvaluate:
             evaluate(np.zeros((2, 5)), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             evaluate(np.zeros((2, 5)), np.zeros((2, 2)), np.zeros((3, 5)))
+
+    def test_peak_memory_below_one_factor(self):
+        # No function on the path builds an (n, p, p) array.
+        n, p = 2000, 10
+        rng = np.random.default_rng(32)
+        thetas_pred, thetas_true = 0.5 * rng.normal(size=(2, n, param_count(p)))
+        Ys = rng.normal(size=(n, p))
+        evaluate(thetas_pred, Ys, thetas_true)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            evaluate(thetas_pred, Ys, thetas_true)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * p * p * 8
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -477,6 +477,30 @@ class TestFitStage:
         for m, tree in enumerate(stage):
             assert np.array_equal(F_val[:, m], predict_tree_batch(tree, X_val))
 
+    @pytest.mark.parametrize("small", [False, True], ids=["default", "small-levels"])
+    def test_child_with_constant_targets_is_a_leaf(self, small):
+        # The root splits its rows 0-5 from 6-11; the left child's targets
+        # are constant in column 0, and constant within the tolerance (not
+        # exactly) in column 1.  Column 2 is constant at the root.
+        x0 = np.arange(12.0)
+        X = np.column_stack([x0, x0 % 2])
+        right = np.array([100.0, 103.0, 101.0, 104.0, 101.0, 105.0])
+        G = np.column_stack([
+            np.concatenate([np.full(6, 5.0), right]),
+            np.concatenate([1000.0 + 1e-10 * np.array([0, 1, 0, 2, 1, 0]), right]),
+            np.full(12, 7.0),
+            np.random.default_rng(12).normal(size=12),
+        ])
+        params = TreeParams(max_depth=3)
+        with small_levels(small):
+            stage, F = fit_stage(X, G, params)
+        for m, tree in enumerate(stage):
+            assert tree.root == reference_tree(X, G[:, m], params)
+            assert np.array_equal(F[:, m], predict_tree_batch(tree, X))
+        for tree in stage[:2]:
+            assert isinstance(tree.root.left, Leaf) and isinstance(tree.root.right, Split)
+        assert stage[2].root == Leaf(7.0)
+
     def test_validation_rows_shape_checked(self):
         X, G = np.arange(8.0).reshape(4, 2), np.arange(4.0).reshape(4, 1)
         stage, F, F_val = fit_stage(X, G, X_val=X[:0])
