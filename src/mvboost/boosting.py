@@ -1,9 +1,10 @@
 """Boosting of distribution parameters with natural gradients.
 
 Each stage fits one regression tree per parameter component to the per-row
-natural gradients (Fisher-preconditioned score), growing the M trees together
-with :func:`trees.fit_stage`, which also returns their predictions on the
-training rows and on the validation rows.  The stage is scaled by a line
+natural gradients (Fisher-preconditioned score).  One
+:class:`trees.StageGrower`, made once per fit, sorts X and grows each stage's
+M trees together; it also returns their predictions on the training rows and
+on the validation rows.  The stage is scaled by a line
 search over a fixed geometric grid, and the step is damped by the learning
 rate:
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import distributions
 from .distributions import InvalidParameterError, param_count
-from .trees import RegressionTree, TreeParams, fit_stage, predict_tree_batch
+from .trees import RegressionTree, StageGrower, TreeParams, predict_tree_batch
 
 # rho candidates for the stage line search: {2^k : k = -10..5}; includes 1.
 LINE_SEARCH_GRID = tuple(2.0**k for k in range(-10, 6))
@@ -132,20 +133,25 @@ def _stage_predictions(trees, X):
     return out
 
 
+def _targets(Y, name):
+    """Y as a float (n, p) array, one column when 1-D; refused unless finite."""
+    Y = np.asarray(Y, dtype=float)
+    if not np.all(np.isfinite(Y)):
+        raise ValueError(f"{name} holds a NaN or an infinity")
+    return Y[:, None] if Y.ndim == 1 else Y
+
+
 def fit(X_train, Y_train, X_val=None, Y_val=None,
         config: BoostConfig | None = None) -> BoostModel:
     """Run the boosting loop for the Gaussian over Y_train's p columns.
 
     A 1-D Y_train is one column, p = 1.  X_val and Y_val come together; with
     neither, or both empty, there is no early stopping and all fitted stages
-    are used.
+    are used.  Raises ``ValueError`` when an input holds a NaN or an infinity.
     """
     config = config or BoostConfig()
-    # Column-major: tree growth and prediction read X one feature at a time.
-    X_train = np.asfortranarray(np.atleast_2d(np.asarray(X_train, dtype=float)))
-    Y_train = np.asarray(Y_train, dtype=float)
-    if Y_train.ndim == 1:
-        Y_train = Y_train[:, None]
+    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
+    Y_train = _targets(Y_train, "Y_train")
     if X_train.shape[0] != Y_train.shape[0]:
         raise ValueError("X_train and Y_train row counts differ")
     p = Y_train.shape[1]
@@ -154,17 +160,16 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
         raise ValueError("X_val and Y_val must be given together")
     have_val = X_val is not None and (np.size(X_val) > 0 or np.size(Y_val) > 0)
     if have_val:
-        X_val = np.asfortranarray(np.atleast_2d(np.asarray(X_val, dtype=float)))
-        Y_val = np.asarray(Y_val, dtype=float)
-        if Y_val.ndim == 1:
-            Y_val = Y_val[:, None]
+        X_val = np.atleast_2d(np.asarray(X_val, dtype=float))
+        Y_val = _targets(Y_val, "Y_val")
         if X_val.shape[1] != X_train.shape[1] or Y_val.shape != (X_val.shape[0], p):
             raise ValueError(f"X_val {X_val.shape} and Y_val {Y_val.shape} do not fit "
                              f"X_train {X_train.shape} and Y_train {Y_train.shape}")
 
-    order = np.argsort(X_train, axis=0, kind="stable")  # shared by every tree
+    grower = StageGrower(X_train, param_count(p), config.tree_params,
+                         X_val if have_val else None)
     theta0 = distributions.marginal_mle(Y_train).values
-    # Column-major theta and Y, like X: each parameter's column is contiguous
+    # Column-major theta and Y: each parameter's column is contiguous
     # for the NLL, the gradients, the tree targets and the stage updates.
     Y_train = np.asfortranarray(Y_train)
     thetas = np.asfortranarray(np.tile(theta0, (X_train.shape[0], 1)))
@@ -179,8 +184,6 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
         thetas_val = np.asfortranarray(np.tile(theta0, (X_val.shape[0], 1)))
         best_val = float(np.mean(distributions.nll_batch(thetas_val, Y_val, p)))
         val_path.append(best_val)
-    # The rows the grower also predicts: none without a validation set.
-    rows_val = X_val if have_val else X_train[:0]
 
     for b in range(1, config.n_stages_max + 1):
         if config.natural_gradient:
@@ -192,7 +195,7 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
             raise NonFiniteGradientError(b, int(np.argmin(finite_rows)))
 
         try:
-            trees, f_train, f_val = fit_stage(X_train, grads, config.tree_params, order, rows_val)
+            trees, f_train, f_val = grower(grads)
         except FloatingPointError as exc:
             raise TreeOverflowError(b) from exc
         rho = line_search(thetas, f_train, Y_train)
@@ -271,6 +274,7 @@ def fit_independent(X_train, Y_train, X_val=None, Y_val=None,
     Y_train = np.asarray(Y_train, dtype=float)
     if Y_train.ndim != 2 or Y_train.shape[1] < 1:
         raise InvalidParameterError("Y_train must be (n, p) with p >= 1")
+    _targets(Y_train, "Y_train")  # refused before the first column is fitted
     if Y_val is not None and np.shape(Y_val)[1:] != Y_train.shape[1:]:
         raise ValueError(f"Y_val {np.shape(Y_val)} does not fit Y_train {Y_train.shape}")
     models = []

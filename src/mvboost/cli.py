@@ -1,6 +1,8 @@
 """Command-line surface: simulate | train | predict | evaluate | benchmark.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.  An
+input path that is a directory, and an output path that cannot be written or
+that exists without ``--force``, are usage errors, refused before any work.
 Every command is deterministic given its flags and seeds.
 """
 
@@ -27,6 +29,8 @@ from .trees import TreeParams
 
 EXIT_DATA_ERROR = 3
 EXIT_NUMERIC_ERROR = 4
+# An input path: an existing file, so a directory is a usage error.
+_INPUT_FILE = click.Path(exists=True, dir_okay=False)
 
 
 def _handle_errors(func):
@@ -52,8 +56,15 @@ def _require_finite(values, what):
 
 
 def _check_overwrite(path, force):
+    """Refuse an output path as a usage error (exit 2): one in a directory that
+    does not exist, a directory, or an existing file without ``force``."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise click.UsageError(f"cannot write {path}: {folder} is not a directory")
+    if os.path.isdir(path):
+        raise click.UsageError(f"cannot write {path}: it is a directory")
     if os.path.exists(path) and not force:
-        raise click.ClickException(f"refusing to overwrite {path} (use --force)")
+        raise click.UsageError(f"refusing to overwrite {path} (use --force)")
 
 
 @click.group()
@@ -127,11 +138,11 @@ def _parse_columns(text):
 
 
 @main.command("train")
-@click.option("--data", "data_path", type=click.Path(exists=True), required=True)
+@click.option("--data", "data_path", type=_INPUT_FILE, required=True)
 @click.option("--targets", required=True, help="Comma-separated target column names.")
 @click.option("--features", default=None,
               help="Comma-separated feature columns (default: all non-target columns).")
-@click.option("--val-file", type=click.Path(exists=True), default=None,
+@click.option("--val-file", type=_INPUT_FILE, default=None,
               help="Separate validation CSV with the same schema.")
 @click.option("--val-frac", type=click.FloatRange(0.0, 1.0, max_open=True), default=0.2,
               show_default=True,
@@ -231,8 +242,8 @@ def _feature_names(doc):
 
 
 @main.command("predict")
-@click.option("--model", "model_path", type=click.Path(exists=True), required=True)
-@click.option("--data", "data_path", type=click.Path(exists=True), required=True)
+@click.option("--model", "model_path", type=_INPUT_FILE, required=True)
+@click.option("--data", "data_path", type=_INPUT_FILE, required=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--force", is_flag=True)
 @_handle_errors
@@ -267,9 +278,9 @@ def cmd_predict(model_path, data_path, out, force):
 
 
 @main.command("evaluate")
-@click.option("--model", "model_path", type=click.Path(exists=True), required=True)
-@click.option("--data", "data_path", type=click.Path(exists=True), required=True)
-@click.option("--truth", "truth_path", type=click.Path(exists=True), default=None,
+@click.option("--model", "model_path", type=_INPUT_FILE, required=True)
+@click.option("--data", "data_path", type=_INPUT_FILE, required=True)
+@click.option("--truth", "truth_path", type=_INPUT_FILE, default=None,
               help="Truth sidecar CSV (mu1,mu2,var1,var2,rho) for KL evaluation.")
 @click.option("--alpha", type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
               default=0.9, show_default=True)
@@ -359,7 +370,7 @@ def _parse_methods(ctx, param, value):
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker processes for independent cells.")
 @_config_options
-@click.option("--out", "out_dir", type=click.Path(), required=True,
+@click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True,
               help="Output directory for results CSVs.")
 @click.option("--force", is_flag=True)
 @_handle_errors
@@ -375,7 +386,10 @@ def cmd_benchmark(n_grid, reps, methods, variant, threads, stages, learning_rate
         config=_build_config(stages, learning_rate, patience, max_depth,
                              min_samples_leaf),
     )
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"cannot make the directory {out_dir}: {exc.strerror}") from None
     out_path = os.path.join(out_dir, "results.csv")
     _check_overwrite(out_path, force)
     rows, aggregates = simulation.run_experiment(plan, out_path, workers=threads)

@@ -34,7 +34,14 @@ class Table:
 
 
 def read_table(path) -> Table:
-    with open(path, newline="") as fh:
+    try:
+        return _read_table(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _read_table(path):
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

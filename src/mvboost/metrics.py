@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
 
 from .distributions import ThetaVector, kl_divergence_batch, nll_batch, whitened_sq
 
@@ -56,6 +55,8 @@ def rmse(thetas, Ys) -> float:
 
 def chi2_cdf(x, dof) -> float:
     """Chi-square CDF via the regularized lower incomplete gamma."""
+    from scipy.special import gammainc  # imported on use: it costs about 0.1 s
+
     if x <= 0:
         return 0.0
     return float(gammainc(dof / 2.0, x / 2.0))
@@ -67,6 +68,8 @@ def chi2_quantile(p_dof: int, alpha: float) -> float:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if p_dof < 1:
         raise ValueError("degrees of freedom must be >= 1")
+    from scipy.special import gammaincinv  # imported on use: it costs about 0.1 s
+
     return 2.0 * float(gammaincinv(p_dof / 2.0, alpha))
 
 

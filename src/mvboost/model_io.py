@@ -245,9 +245,9 @@ def save_model(model, path, **kwargs):
 
 
 def load_model(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ModelFormatError(f"not a valid model file: {exc}") from exc
     return model_from_dict(doc)

@@ -7,8 +7,10 @@ to the lowest feature index, then the lowest threshold, so fits are fully
 reproducible.  There is no feature or row subsampling.
 
 Split search is the presorted exact-greedy scan of XGBoost (Chen & Guestrin
-2016).  :func:`fit_stage` grows the M trees of one boosting stage, one per
-target column, together and one depth level at a time.  A level holds the
+2016).  A :class:`StageGrower` is made once per fit: it checks and sorts X
+and allocates its scratch arrays.  Each call grows the M trees of one
+boosting stage, one per target column, together and one depth level at a
+time; :func:`fit_stage` is one call of a fresh grower.  A level holds the
 rows of the open nodes of all M trees back to back (of as many trees as a
 level of bounded size holds), once in each feature's sorted order and once in
 ascending order.  A node scans all its features with one pass of cumulative
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -109,24 +110,16 @@ def _carve(buf, *shape):
     return buf[:math.prod(shape)].reshape(shape)
 
 
-def _buffers(**parts):
-    """Flat arrays ``name=(length, dtype)`` carved from one allocation.
+class StageGrower:
+    """Level-wise growth of the M trees of each boosting stage on one X.
 
-    Separate arrays this large would each be mapped, and page-faulted in,
-    afresh on every stage; one allocation of their total is recycled by the
-    allocator.  List the widest dtypes first, so that every view is aligned.
-    """
-    nbytes = {name: length * np.dtype(dtype).itemsize for name, (length, dtype) in parts.items()}
-    pool = np.empty(sum(nbytes.values()), dtype=np.uint8)
-    out, at = {}, 0
-    for name, (length, dtype) in parts.items():
-        out[name] = pool[at:at + nbytes[name]].view(dtype)
-        at += nbytes[name]
-    return SimpleNamespace(**out)
-
-
-class _StageGrower:
-    """Level-wise growth of the trees of one stage; see :func:`fit_stage`.
+    The constructor checks X and the validation rows ``X_val``, sorts X once,
+    marks the features that hold a value twice and allocates the scratch
+    arrays.  Each call ``grower(G)`` grows one stage: one tree per column of
+    the (n, M) targets G.  It returns ``(trees, F, F_val)``: the trees, and
+    their predictions on X and on ``X_val`` as column-major arrays, bit for
+    bit those of :func:`predict_tree_batch`.  A call raises
+    ``FloatingPointError`` if a sum or a square of the targets overflows.
 
     A level is a (d + 1, T) array of row ids holding the open nodes of a
     group of trees back to back: row k < d has each node's rows sorted by
@@ -134,36 +127,70 @@ class _StageGrower:
     rows at positions [start j, start j + size j) of every row, and grows
     the tree of target column ``cols[j]``; a row's target is then
     ``g_flat[cols[j] n + row]``, and its prediction goes to the same place of
-    F.  The work of a level runs over blocks of whole nodes in buffers that
-    every block and every group reuses, so its temporaries stay in cache.
+    F.  The work of a level runs over blocks of whole nodes in arrays that
+    every block, group and stage reuses, so its temporaries stay in cache.
     Node ids count up level by level, so a child's id is above its
     parent's; the splits and leaves made are kept as arrays per level.
     Once a group's trees are grown, the rows of X_val go down its levels,
     all trees at once, and their leaves' values go to F_val.
     """
 
-    def __init__(self, X, G, F, X_val, F_val, order, params, group):
+    def __init__(self, X, n_trees, params: TreeParams | None = None, X_val=None):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[0] == 0 or X.shape[1] == 0:
+            raise EmptyTrainingSetError("tree growth requires at least one row and one feature")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("X holds a NaN or an infinity")
+        X_val = X[:0] if X_val is None else np.asarray(X_val, dtype=float)
+        if X_val.ndim != 2 or X_val.shape[1] != X.shape[1]:
+            raise ValueError(f"X_val has shape {X_val.shape}, X has {X.shape}")
+        if not np.all(np.isfinite(X_val)):
+            raise ValueError("X_val holds a NaN or an infinity")
         self.n, self.d = n, d = X.shape
-        self.n_val = X_val.shape[0]
+        self.n_trees, self.n_val = n_trees, X_val.shape[0]
+        self.params = params or TreeParams()
         self.x_flat = X.ravel(order="F")  # feature k at [k n, k n + n)
-        self.g_flat = G.ravel(order="F")  # target column m at [m n, m n + n)
-        self.f_flat = F.reshape(-1, order="F")  # a view: leaves write F
         self.xv_flat = X_val.ravel(order="F")
-        self.fv_flat = F_val.reshape(-1, order="F")
+        order = np.argsort(X, axis=0, kind="stable")
+        self.order = order.T  # row k: the rows sorted by feature k
         # Features whose column holds a value twice.  Only their splits need
         # a test that the values either side differ.
         ranked = self.x_flat.take(order + np.arange(d) * n)
         self.tied = np.flatnonzero((ranked[1:] == ranked[:-1]).any(axis=0))
-        self.params = params
-        size = (d + 1) * n * group  # a level of every tree of the group
+        # Grow the trees in groups whose levels hold at most _LEVEL row ids.
+        self.group = group = max(1, min(n_trees, _LEVEL // ((d + 1) * n)))
         self.cap = cap = min(max(_BLOCK // d, n), n * group)  # rows per block
         row_id = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-        self.buf = _buffers(acc=(2 * d * cap, float),
-                            idx=((d + 1) * cap, np.intp), level=(size, row_id),
-                            row=(n * group, row_id), valid=(d * cap, bool), left=(size, bool),
-                            side=(G.size, bool))  # per target index: routes left
+        # Scratch arrays, reused by every block, group and stage.
+        self.acc = np.empty(2 * d * cap)
+        self.idx = np.empty((d + 1) * cap, dtype=np.intp)
+        self.level = np.empty((d + 1) * n * group, dtype=row_id)  # every tree of a group
+        self.row = np.empty(n * group, dtype=row_id)
+        self.valid = np.empty(d * cap, dtype=bool)
+        self.left = np.empty(self.level.size, dtype=bool)
+        self.side = np.empty(n * n_trees, dtype=bool)  # per target index: routes left
         self.splits = []  # (ids, features, thresholds, left ids, right ids)
         self.leaves = []  # (ids, values)
+
+    def __call__(self, G):
+        """One stage's ``(trees, F, F_val)`` on the (n, M) targets G."""
+        G = np.asfortranarray(G, dtype=float)
+        if G.ndim != 2 or G.shape[1] != self.n_trees:
+            raise ValueError(f"targets must be an (n, {self.n_trees}) array, got shape {G.shape}")
+        if G.shape[0] != self.n:
+            raise ValueError(f"row mismatch: X has {self.n}, targets {G.shape[0]}")
+        if not np.all(np.isfinite(G)):
+            raise ValueError("targets hold a NaN or an infinity")
+        F = np.empty(G.shape, order="F")
+        F_val = np.empty((self.n_val, self.n_trees), order="F")
+        self.g_flat = G.ravel(order="F")  # target column m at [m n, m n + n)
+        self.f_flat = F.reshape(-1, order="F")  # views: leaves write F and F_val
+        self.fv_flat = F_val.reshape(-1, order="F")
+        trees = []
+        with np.errstate(over="raise"):
+            for first in range(0, self.n_trees, self.group):
+                trees += self.grow(np.arange(first, min(first + self.group, self.n_trees)))
+        return tuple(trees), F, F_val
 
     def settle(self, rows, sizes, cols, ids, shut, means=None):
         """Make leaves of the ``shut`` nodes of a level, given its ascending
@@ -187,9 +214,9 @@ class _StageGrower:
         # two rows of work per position, so the blocks can be d times longer
         for a, b, p0, p1 in _blocks(sizes, self.d * self.cap):
             sz = sizes[a:b]
-            idx = _carve(self.buf.idx, p1 - p0)
+            idx = _carve(self.idx, p1 - p0)
             np.add(rows[p0:p1], np.repeat(cols[a:b] * self.n, sz), out=idx)
-            yy = _carve(self.buf.acc, 2, p1 - p0)
+            yy = _carve(self.acc, 2, p1 - p0)
             np.take(self.g_flat, idx, out=yy[0], mode="clip")
             np.multiply(yy[0], yy[0], out=yy[1])
             sums[a:b] = _node_sums(yy, sz)
@@ -213,13 +240,13 @@ class _StageGrower:
         thr = np.empty(sizes.size)
         low = np.empty(sizes.size)
         n_left = np.empty(sizes.size, dtype=np.intp)
-        goes_left = _carve(self.buf.left, 1 if last else d + 1, level.shape[1])
+        goes_left = _carve(self.left, 1 if last else d + 1, level.shape[1])
         for a, b, p0, p1 in _blocks(sizes, self.cap):
             span = p1 - p0
             sz = sizes[a:b]
             st = np.cumsum(sz) - sz
             end = st + sz - 1
-            idx = _carve(self.buf.idx, d + 1, span)
+            idx = _carve(self.idx, d + 1, span)
             # Split candidates: between distinct values, leaving min_leaf rows
             # each side.  Position j of a node routes its first j + 1 rows left.
             n_rows = np.repeat(sz, sz)
@@ -227,12 +254,12 @@ class _StageGrower:
             invalid = (n_lo < min_leaf) | (n_rows - n_lo < min_leaf)  # a node's last row too
             if self.tied.size:
                 xs = self.x_flat.take(level[self.tied, p0:p1] + (self.tied * n)[:, None])
-                valid = _carve(self.buf.valid, d, span)
+                valid = _carve(self.valid, d, span)
                 np.logical_not(invalid, out=valid)
                 valid[self.tied, :-1] &= xs[:, 1:] != xs[:, :-1]
                 invalid = np.logical_not(valid, out=valid)
             # Cumulative [y; y^2] along each feature's order, one pass per node.
-            acc = _carve(self.buf.acc, 2, d, span)
+            acc = _carve(self.acc, 2, d, span)
             to_g = np.repeat(cols[a:b] * n, sz)
             np.add(level[:d, p0:p1], to_g, out=idx[:d])
             np.take(self.g_flat, idx[:d], out=acc[0], mode="clip")
@@ -277,14 +304,14 @@ class _StageGrower:
             lookup = d > 1 and not last
             by_value = d if lookup or last else 0  # the first row routed by value
             np.add(level[by_value:, p0:p1], np.repeat(at, sz), out=idx[by_value:])
-            x_split = _carve(self.buf.acc, d + 1 - by_value, span)
+            x_split = _carve(self.acc, d + 1 - by_value, span)
             np.take(self.x_flat, idx[by_value:], out=x_split, mode="clip")
             np.less_equal(x_split, np.repeat(t, sz), out=goes_left[by_value - d - 1:, p0:p1])
             mask = goes_left[-1, p0:p1]
             if lookup:
                 np.add(level[d, p0:p1], to_g, out=idx[d])
-                self.buf.side[idx[d]] = mask
-                goes_left[:d, p0:p1] = self.buf.side.take(idx[:d])
+                self.side[idx[d]] = mask
+                goes_left[:d, p0:p1] = self.side.take(idx[:d])
             feat[a:b] = f
             thr[a:b] = t
             low[a:b] = best
@@ -305,7 +332,7 @@ class _StageGrower:
         kids = kid_open.size // 2
         total = int(kid_sizes[kid_open].sum())
         flat = level.reshape(-1)
-        spare = self.buf.row
+        spare = self.row
         every_kid = kid_open.all()
         if total:
             keep = []
@@ -337,7 +364,7 @@ class _StageGrower:
             np.compress(np.repeat(kid_open, kid_sizes), kid_rows, out=nxt[d])
         return nxt, kid_rows
 
-    def grow(self, order, cols):
+    def grow(self, cols):
         """The trees of target columns ``cols``, a run of consecutive
         columns; their predictions are written into F and F_val."""
         d, n = self.d, self.n
@@ -346,8 +373,8 @@ class _StageGrower:
         self.splits.clear()
         self.leaves.clear()
         # Level 0: every tree's root, node id m for the m-th tree, holds every row.
-        level = _carve(self.buf.level, d + 1, n_trees, n)
-        level[:d] = np.transpose(order)[:, None, :]
+        level = _carve(self.level, d + 1, n_trees, n)
+        level[:d] = self.order[:, None, :]
         level[d] = np.arange(n)
         level = level.reshape(d + 1, n_trees * n)
         sizes = np.full(n_trees, n)
@@ -427,58 +454,24 @@ class _StageGrower:
         return [RegressionTree(root=built[m], n_features=self.d) for m in range(n_trees)]
 
 
-def fit_stage(X, G, params: TreeParams | None = None, order=None, X_val=None):
+def fit_stage(X, G, params: TreeParams | None = None, X_val=None):
     """Grow one regression tree per column of ``G`` on the rows of ``X``.
 
-    Returns ``(trees, F)``: the M trees, and the (n, M) column-major array
-    whose column m is ``predict_tree_batch(trees[m], X)``, bit for bit.
-    Given validation rows ``X_val`` (n_val, d), it returns
-    ``(trees, F, F_val)``, where F_val is the (n_val, M) column-major array
-    of the trees' predictions on them, bit for bit as well; the grower
-    routes them down the levels it builds.  ``order`` must equal
-    ``np.argsort(X, axis=0, kind="stable")``; it is computed when not
-    given.  Callers that grow many stages on one X pass it so that X is
-    sorted once.  Raises ``FloatingPointError`` if a sum or a square of the
-    targets overflows.
+    Returns ``(trees, F, F_val)``: the M trees, and their predictions on X
+    and on the validation rows ``X_val`` (none when not given); see
+    :class:`StageGrower`, which grows many stages on one X.
     """
-    params = params or TreeParams()
-    X = np.asfortranarray(np.atleast_2d(np.asarray(X, dtype=float)))
-    G = np.asfortranarray(G, dtype=float)
+    G = np.asarray(G, dtype=float)
     if G.ndim != 2:
         raise ValueError(f"targets must be an (n, M) array, got shape {G.shape}")
-    if X.shape[0] == 0 or X.shape[1] == 0:
-        raise EmptyTrainingSetError("tree growth requires at least one row and one feature")
-    if X.shape[0] != G.shape[0]:
-        raise ValueError(f"row mismatch: X has {X.shape[0]}, targets {G.shape[0]}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(G))):
-        raise ValueError("tree inputs must be finite")
-    if order is None:
-        order = np.argsort(X, axis=0, kind="stable")
-    elif np.shape(order) != X.shape:
-        raise ValueError(f"order has shape {np.shape(order)}, X has {X.shape}")
-    rows_val = X[:0] if X_val is None else np.asfortranarray(X_val, dtype=float)
-    if rows_val.ndim != 2 or rows_val.shape[1] != X.shape[1]:
-        raise ValueError(f"X_val has shape {rows_val.shape}, X has {X.shape}")
-    n, d = X.shape
-    F = np.empty(G.shape, order="F")
-    F_val = np.empty((rows_val.shape[0], G.shape[1]), order="F")
-    # Grow the trees in groups whose levels hold at most _LEVEL row ids.
-    group = max(1, min(G.shape[1], _LEVEL // ((d + 1) * n)))
-    grower = _StageGrower(X, G, F, rows_val, F_val, order, params, group)
-    trees = []
-    with np.errstate(over="raise"):
-        for first in range(0, G.shape[1], group):
-            trees += grower.grow(order, np.arange(first, min(first + group, G.shape[1])))
-    if X_val is None:
-        return tuple(trees), F
-    return tuple(trees), F, F_val
+    return StageGrower(X, G.shape[1], params, X_val)(G)
 
 
-def fit_tree(X, targets, params: TreeParams | None = None, order=None) -> RegressionTree:
+def fit_tree(X, targets, params: TreeParams | None = None) -> RegressionTree:
     """Fit one scalar-output regression tree by greedy SSE minimization:
     :func:`fit_stage` on one target column."""
     ys = np.asarray(targets, dtype=float).reshape(-1, 1)
-    return fit_stage(X, ys, params, order)[0][0]
+    return fit_stage(X, ys, params)[0][0]
 
 
 def predict_tree(tree: RegressionTree, x) -> float:

@@ -318,6 +318,22 @@ class TestValidationInputs:
         with pytest.raises(ValueError, match="together"):
             fitter(X, Y, *val, BoostConfig(n_stages_max=2))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("independent", [False, True], ids=["joint", "independent"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("array, name", [
+        ("X_train", "X"), ("Y_train", "Y_train"), ("X_val", "X_val"), ("Y_val", "Y_val"),
+    ])
+    def test_non_finite_input_refused(self, independent, bad, array, name):
+        X, Y = small_dataset(n=60)
+        Xv, Yv = small_dataset(n=30, seed=1)
+        inputs = {"X_train": X, "Y_train": Y, "X_val": Xv, "Y_val": Yv}
+        inputs[array] = inputs[array].copy()
+        inputs[array][7, -1] = bad  # the independent fit's second target column, for Y
+        fitter = fit_independent if independent else fit
+        with pytest.raises(ValueError, match=f"{name} holds a NaN or an infinity"):
+            fitter(*inputs.values(), BoostConfig(n_stages_max=5, patience=2))
+
     @pytest.mark.parametrize("independent", [False, True], ids=["joint", "independent"])
     def test_empty_validation_set_means_no_early_stopping(self, independent):
         X, Y = small_dataset(n=60)

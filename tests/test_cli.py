@@ -675,6 +675,66 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
 
 
+def _unusable_path_cases():
+    """(command, option, kind of path, exit code) for every path option."""
+    cases = []
+    for command, options in (("train", ("--data", "--val-file")),
+                             ("predict", ("--model", "--data")),
+                             ("evaluate", ("--model", "--data", "--truth"))):
+        for option in options:
+            cases += [(command, option, "non-utf8", 3), (command, option, "directory", 2)]
+    for command, options in (("simulate", ("--out",)), ("train", ("--out", "--log")),
+                             ("predict", ("--out",)), ("evaluate", ("--out",))):
+        for option in options:
+            cases += [(command, option, kind, 2)
+                      for kind in ("missing-dir", "directory", "existing")]
+    cases += [("benchmark", "--out", kind, 2) for kind in ("file", "under-file", "existing")]
+    return cases
+
+
+class TestUnusablePaths:
+    """A path a command cannot use is a usage error (exit 2) or, for a file
+    that is not UTF-8 text, a data error (exit 3), refused before any output."""
+
+    @pytest.mark.parametrize("command, option, kind, code", _unusable_path_cases(),
+                             ids=lambda value: str(value))
+    def test_refused_before_any_work(self, runner, tmp_path, command, option, kind, code):
+        data, truth = simulate(runner, tmp_path / "d.csv", n=50)
+        model = stage_free_model(tmp_path)
+        work = tmp_path / "work"
+        (work / "dir").mkdir(parents=True)
+        (work / "dir" / "results.csv").write_text("old\n")  # a benchmark's earlier output
+        (work / "old").write_text("old\n")
+        (work / "bad").write_bytes(b"x,y1,y2\n\xff\xfe,1,2\n")
+        path = {"non-utf8": work / "bad", "directory": work / "dir", "existing": work / "old",
+                "missing-dir": work / "none" / "o.csv", "file": work / "old",
+                "under-file": work / "old" / "sub"}[kind]
+        if command == "benchmark" and kind == "existing":
+            path = work / "dir"
+        args = {
+            "simulate": ["simulate", "--n", "20", "--out", work / "s.csv"],
+            "train": ["train", "--data", data, "--targets", "y1,y2", "--stages", "2",
+                      "--out", work / "m.json", "--log", work / "log.csv"],
+            "predict": ["predict", "--model", model, "--data", data, "--out", work / "p.csv"],
+            "evaluate": ["evaluate", "--model", model, "--data", data, "--truth", truth,
+                         "--out", work / "e.csv"],
+            "benchmark": ["benchmark", "--n-grid", "50", "--reps", "1", "--methods", "ngb",
+                          "--stages", "2", "--out", work / "b"],
+        }[command]
+        # an output directory is refused even where --force allows overwriting
+        force = ["--force"] if kind == "directory" and option in ("--out", "--log") else []
+
+        def contents():
+            return {p: p.read_bytes() if p.is_file() else None for p in work.rglob("*")}
+
+        before = contents()
+        result = runner.invoke(main, [*map(str, args), option, str(path), *force])
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert contents() == before  # nothing written, nothing overwritten
+
+
 class TestBenchmark:
     def test_small_run_writes_tables(self, runner, tmp_path):
         out = tmp_path / "bench"

@@ -523,11 +523,13 @@ class TestKl:
             assert np.array_equal(got, want)
 
 
-def test_import_leaves_scipy_linalg_unloaded():
+@pytest.mark.parametrize("module", ["scipy.linalg", "scipy.special"])
+def test_import_leaves_scipy_module_unloaded(module):
     # Importing scipy.linalg costs about 6 MB of resident memory that nothing
-    # in the package needs.
+    # in the package needs; scipy.special, about 0.1 s that only the
+    # chi-square functions need, so they import it when called.
     src = os.path.dirname(os.path.dirname(dist.__file__))
-    code = "import sys, mvboost; print('scipy.linalg' in sys.modules)"
+    code = f"import sys, mvboost; print({module!r} in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert run.stdout.strip() == "False"

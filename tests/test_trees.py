@@ -15,6 +15,7 @@ from mvboost.trees import (
     Leaf,
     RegressionTree,
     Split,
+    StageGrower,
     TreeParams,
     fit_stage,
     fit_tree,
@@ -275,13 +276,7 @@ class TestPresortedGrower:
     def test_given_order_and_reference_grower_agree(self, problem):
         X, ys, params = problem
         tree = fit_tree(X, ys, params)
-        assert fit_tree(X, ys, params, order=np.argsort(X, axis=0, kind="stable")) == tree
         assert tree.root == reference_tree(X, ys, params)
-
-    def test_order_shape_checked(self):
-        X = np.zeros((4, 2))
-        with pytest.raises(ValueError, match="order"):
-            fit_tree(X, np.arange(4.0), order=np.zeros((4, 1), dtype=int))
 
 
 def _splits(node):
@@ -389,7 +384,7 @@ class TestFitStage:
     @given(tie_heavy_stages(), st.sampled_from(["C", "F", "strided"]))
     def test_each_column_is_the_reference_tree_and_F_its_prediction(self, problem, layout):
         X, G, params = problem
-        stage, F = fit_stage(in_layout(X, layout), in_layout(G, layout), params)
+        stage, F, _ = fit_stage(in_layout(X, layout), in_layout(G, layout), params)
         assert len(stage) == G.shape[1] and F.shape == G.shape
         for m, tree in enumerate(stage):
             assert tree.root == reference_tree(X, G[:, m], params)
@@ -400,21 +395,45 @@ class TestFitStage:
         X = np.round(rng.normal(size=(120, 2)), 1)
         G = rng.normal(size=(120, 5))
         params = TreeParams(max_depth=6)
-        stage, F = fit_stage(X, G, params)
+        stage, F, _ = fit_stage(X, G, params)
         # one tree per level and a few nodes per block, where the default
         # grows all five trees in one level and one block
         monkeypatch.setattr(trees, "_LEVEL", 1)
         monkeypatch.setattr(trees, "_BLOCK", 64)
-        small_stage, small_F = fit_stage(X, G, params)
+        small_stage, small_F, _ = fit_stage(X, G, params)
         assert small_stage == stage
         assert np.array_equal(small_F, F)
+
+    @pytest.mark.parametrize("small", [False, True], ids=["default", "small-levels"])
+    def test_one_grower_over_many_stages(self, small):
+        # The grower sorts X, finds its ties and allocates its arrays once;
+        # every stage it grows, after any other, is what a fresh fit_stage
+        # grows, and a stage that overflows leaves the next one whole.
+        rng = np.random.default_rng(13)
+        X = np.round(rng.normal(size=(150, 3)), 1)  # tie-heavy
+        X[:, 1] = 2.0  # a constant column
+        X_val = np.vstack([X[:20], np.round(rng.normal(size=(30, 3)), 1)])
+        params = TreeParams(max_depth=4, min_samples_leaf=2)
+        with small_levels(small):
+            grower = StageGrower(X, 4, params, X_val)
+            for scale in (1.0, 1e-6, 1e6, 1e160, 1.0):
+                G = scale * rng.normal(size=(150, 4))
+                G[:, 2] = scale  # a constant target
+                if scale == 1e160:  # its squared sums pass 1.8e308
+                    with pytest.raises(FloatingPointError):
+                        grower(G)
+                    continue
+                stage, F, F_val = grower(G)
+                fresh_stage, fresh_F, fresh_F_val = fit_stage(X, G, params, X_val)
+                assert stage == fresh_stage
+                assert np.array_equal(F, fresh_F) and np.array_equal(F_val, fresh_F_val)
 
     def test_single_column_is_fit_tree(self):
         rng = np.random.default_rng(9)
         X = np.round(rng.normal(size=(90, 3)), 1)
         G = rng.normal(size=(90, 4))
         params = TreeParams(max_depth=5, min_samples_leaf=2)
-        stage, _ = fit_stage(X, G, params)
+        stage, _, _ = fit_stage(X, G, params)
         assert stage == tuple(fit_tree(X, G[:, m], params) for m in range(4))
 
     def test_overflow_raises(self):
@@ -428,18 +447,18 @@ class TestFitStage:
     def test_no_overflow_beyond_the_split_scan(self):
         # The squared node total (3.5e308) overflows, but it is no split's
         # term: every sum the split scan needs fits.
-        stage, F = fit_stage(np.array([[0.0], [1.0]]), np.array([[9.4e153], [9.3e153]]))
+        stage, F, _ = fit_stage(np.array([[0.0], [1.0]]), np.array([[9.4e153], [9.3e153]]))
         assert isinstance(stage[0].root, Split)
         assert F[:, 0].tolist() == [9.4e153, 9.3e153]
 
     def test_midpoint_rounded_onto_a_value(self):
         # Between adjacent doubles the midpoint rounds onto one of them.
         up = np.array([[1.0], [np.nextafter(1.0, 2.0)]])
-        stage, F = fit_stage(up, np.array([[0.0], [1.0]]))
+        stage, F, _ = fit_stage(up, np.array([[0.0], [1.0]]))
         assert stage[0].root.threshold == 1.0  # the lower value routes left
         assert F[:, 0].tolist() == [0.0, 1.0]
         down = np.array([[np.nextafter(1.0, 0.0)], [1.0]])
-        stage, F = fit_stage(down, np.array([[0.0], [1.0]]))
+        stage, F, _ = fit_stage(down, np.array([[0.0], [1.0]]))
         assert isinstance(stage[0].root, Leaf)  # every row routes left: no split
         assert F[:, 0].tolist() == [0.5, 0.5]
 
@@ -449,8 +468,6 @@ class TestFitStage:
             fit_stage(X, np.zeros(4))
         with pytest.raises(ValueError, match="row mismatch"):
             fit_stage(X, np.zeros((5, 1)))
-        with pytest.raises(ValueError, match="order"):
-            fit_stage(X, np.zeros((4, 1)), order=np.zeros((4, 1), dtype=int))
         with pytest.raises(EmptyTrainingSetError):
             fit_stage(np.empty((0, 2)), np.empty((0, 1)))
 
@@ -459,7 +476,7 @@ class TestFitStage:
     def test_tie_free_columns_give_the_reference_trees(self, problem, small):
         X, G, params = problem
         with small_levels(small):
-            stage, F = fit_stage(X, G, params)
+            stage, F, _ = fit_stage(X, G, params)
         for m, tree in enumerate(stage):
             assert tree.root == reference_tree(X, G[:, m], params)
             assert np.array_equal(F[:, m], predict_tree_batch(tree, X))
@@ -468,7 +485,7 @@ class TestFitStage:
     @given(st.one_of(tie_heavy_stages(), tie_free_stages()), st.booleans())
     def test_validation_predictions_are_the_trees_predictions(self, problem, small):
         X, G, params = problem
-        stage, F = fit_stage(X, G, params)
+        stage, F, _ = fit_stage(X, G, params)
         X_val = rows_on_thresholds(X, stage)
         with small_levels(small):
             val_stage, val_F, F_val = fit_stage(X, G, params, X_val=X_val)
@@ -493,7 +510,7 @@ class TestFitStage:
         ])
         params = TreeParams(max_depth=3)
         with small_levels(small):
-            stage, F = fit_stage(X, G, params)
+            stage, F, _ = fit_stage(X, G, params)
         for m, tree in enumerate(stage):
             assert tree.root == reference_tree(X, G[:, m], params)
             assert np.array_equal(F[:, m], predict_tree_batch(tree, X))
