@@ -26,7 +26,8 @@ import numpy as np
 
 from . import distributions
 from .distributions import InvalidParameterError, param_count
-from .trees import RegressionTree, StageGrower, TreeParams, predict_tree_batch
+from .trees import (RegressionTree, StageGrower, TreeParams, predict_sorted,
+                    predict_tree_batch)
 
 # rho candidates for the stage line search: {2^k : k = -10..5}; includes 1.
 LINE_SEARCH_GRID = tuple(2.0**k for k in range(-10, 6))
@@ -97,24 +98,28 @@ class BoostModel:
 def line_search(theta_batch, directions_batch, Y_batch) -> float:
     """argmin over the candidate grid of the total NLL after a rho step.
 
-    A candidate whose stepped theta or total NLL is not finite is skipped.
-    If every candidate worsens the current total, returns the smallest
-    candidate (2^-10) so the stage contributes a negligible step.
+    The inputs are checked once, up front; each candidate then steps theta
+    into one reused trial array and takes the NLL unchecked.  A candidate
+    whose total NLL is not finite is skipped; so is one whose stepped theta
+    is not finite, since its total is then not finite either.  If every
+    candidate worsens the current total, returns the smallest candidate
+    (2^-10) so the stage contributes a negligible step.
     """
-    theta_batch = np.atleast_2d(np.asarray(theta_batch, dtype=float))
-    directions_batch = np.atleast_2d(np.asarray(directions_batch, dtype=float))
     p = np.shape(Y_batch)[1]
-    baseline = float(np.sum(distributions.nll_batch(theta_batch, Y_batch, p)))
+    theta_batch, Y_batch = distributions._checked(theta_batch, Y_batch, p)
+    directions_batch = np.atleast_2d(np.asarray(directions_batch, dtype=float))
+    if directions_batch.shape != theta_batch.shape:
+        raise InvalidParameterError(f"directions {directions_batch.shape} do not match "
+                                    f"theta {theta_batch.shape}")
+    baseline = float(np.sum(distributions._nll_rows(theta_batch, Y_batch, p)))
+    trial = np.empty_like(theta_batch)
     best_rho = LINE_SEARCH_GRID[0]
     best_total = np.inf
     for rho in LINE_SEARCH_GRID:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            trial = theta_batch - rho * directions_batch
-            try:
-                totals = distributions.nll_batch(trial, Y_batch, p)
-            except InvalidParameterError:  # shapes passed above: trial overflowed
-                continue
-        total = float(np.sum(totals))
+            np.multiply(rho, directions_batch, out=trial)
+            np.subtract(theta_batch, trial, out=trial)
+            total = float(np.sum(distributions._nll_rows(trial, Y_batch, p)))
         if not np.isfinite(total):
             continue
         if total < best_total:
@@ -125,11 +130,12 @@ def line_search(theta_batch, directions_batch, Y_batch) -> float:
     return best_rho
 
 
-def _stage_predictions(trees, X):
-    """The (n, M) predictions of one stage's trees, column-major like X."""
+def _stage_predictions(trees, X, predict):
+    """The (n, M) column-major predictions of one stage's trees on the rows
+    X, one column per tree from ``predict(tree, X)``."""
     out = np.empty((X.shape[0], len(trees)), order="F")
     for m, tree in enumerate(trees):
-        out[:, m] = predict_tree_batch(tree, X)
+        out[:, m] = predict(tree, X)
     return out
 
 
@@ -228,7 +234,13 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
 
 
 def predict_theta(model: BoostModel, X) -> np.ndarray:
-    """Per-row theta, using stages up to best_stage only; (n, M)."""
+    """Per-row theta, using stages up to best_stage only; (n, M), row-major.
+
+    A one-feature model sorts the rows by x once and fills each tree's
+    predictions from its leaf intervals (:func:`trees.predict_sorted`);
+    a model with more features sends the rows down each tree
+    (:func:`trees.predict_tree_batch`).  Both give the same values bit for bit.
+    """
     X = np.asfortranarray(np.atleast_2d(np.asarray(X, dtype=float)))
     if X.shape[1] != model.n_features:
         raise ValueError(
@@ -236,12 +248,21 @@ def predict_theta(model: BoostModel, X) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
+    order = None
+    rows, predict = X, predict_tree_batch
+    if model.n_features == 1:
+        order = np.argsort(X[:, 0])
+        rows, predict = X[order, 0], predict_sorted
     # column-major while the stages add up, as in fit; returned row-major
     thetas = np.asfortranarray(np.tile(model.theta0, (X.shape[0], 1)))
     lr = model.config.learning_rate
     for stage in model.stages[: model.best_stage]:
-        thetas -= lr * stage.rho * _stage_predictions(stage.trees, X)
-    return np.ascontiguousarray(thetas)
+        thetas -= lr * stage.rho * _stage_predictions(stage.trees, rows, predict)
+    if order is None:
+        return np.ascontiguousarray(thetas)
+    out = np.empty(thetas.shape)
+    out[order] = thetas  # back to the caller's row order
+    return out
 
 
 @dataclass(frozen=True)

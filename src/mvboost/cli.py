@@ -161,6 +161,8 @@ def cmd_train(data_path, targets, features, val_file, val_frac, independent,
     """Fit a boosted distribution model and persist it as versioned JSON."""
     _check_overwrite(out, force)
     if log_path:
+        if os.path.realpath(log_path) == os.path.realpath(out):
+            raise click.UsageError(f"--log {log_path} names the --out model file")
         _check_overwrite(log_path, force)
     target_cols = _parse_columns(targets)
     table = read_table(data_path)

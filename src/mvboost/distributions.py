@@ -139,10 +139,10 @@ def _diag_columns(p):
 
 
 def _whiten_rows(thetas, Ys, p):
-    """The checked theta batch, z = mu - y, and for each row i of L its
-    diagonal a_ii = exp(nu_ii) and eta_i = a_ii z_i + sum_{j>i} nu_ij z_j:
-    eta = L z, with z, a and eta as lists of column vectors."""
-    thetas, Ys = _checked(thetas, Ys, p)
+    """For a theta and observation batch that passed :func:`_checked`:
+    z = mu - y, and for each row i of L its diagonal a_ii = exp(nu_ii) and
+    eta_i = a_ii z_i + sum_{j>i} nu_ij z_j: eta = L z, with z, a and eta as
+    lists of column vectors."""
     z = [thetas[:, j] - Ys[:, j] for j in range(p)]
     a, eta = [], []
     for i, k in enumerate(_diag_columns(p)):
@@ -151,15 +151,12 @@ def _whiten_rows(thetas, Ys, p):
         for j in range(i + 1, p):
             e += thetas[:, k + j - i] * z[j]
         eta.append(e)
-    return thetas, z, a, eta
+    return z, a, eta
 
 
-def whitened_sq(thetas, Ys, p):
-    """Per row, (sum_i eta_i^2, sum_i log a_ii): the squared Mahalanobis
-    distance of y from mu, and -log|Sigma| / 2.  Summed over i in order, with
-    log a_ii taken of exp(nu_ii), both are bit-identical to whitening with the
-    dense factor for p <= 2."""
-    _, _, a, eta = _whiten_rows(thetas, Ys, p)
+def _whitened_sq(thetas, Ys, p):
+    """:func:`whitened_sq` without the checks of :func:`_checked`."""
+    _, a, eta = _whiten_rows(thetas, Ys, p)
     sq, log_det = eta[0] * eta[0], np.log(a[0])
     for i in range(1, p):
         sq += eta[i] * eta[i]
@@ -167,10 +164,25 @@ def whitened_sq(thetas, Ys, p):
     return sq, log_det
 
 
+def whitened_sq(thetas, Ys, p):
+    """Per row, (sum_i eta_i^2, sum_i log a_ii): the squared Mahalanobis
+    distance of y from mu, and -log|Sigma| / 2.  Summed over i in order, with
+    log a_ii taken of exp(nu_ii), both are bit-identical to whitening with the
+    dense factor for p <= 2."""
+    return _whitened_sq(*_checked(thetas, Ys, p), p)
+
+
+def _nll_rows(thetas, Ys, p):
+    """:func:`nll_batch` without the checks of :func:`_checked`.  A row with
+    a theta entry that is not finite and a finite y gets an NLL that is not
+    finite: its eta_i or log a_ii is infinite or NaN."""
+    sq, log_det = _whitened_sq(thetas, Ys, p)
+    return 0.5 * sq - log_det + 0.5 * p * _LOG_2PI
+
+
 def nll_batch(thetas, Ys, p) -> np.ndarray:
     """Per-row negative log-likelihood: sum_i(eta_i^2/2 - log a_ii) + const."""
-    sq, log_det = whitened_sq(thetas, Ys, p)
-    return 0.5 * sq - log_det + 0.5 * p * _LOG_2PI
+    return _nll_rows(*_checked(thetas, Ys, p), p)
 
 
 def score_batch(thetas, Ys, p) -> np.ndarray:
@@ -180,7 +192,8 @@ def score_batch(thetas, Ys, p) -> np.ndarray:
     eta_i z_j, and the diagonal entries carry the chain factor a_ii and the
     log-determinant term, so d/d nu_ii = eta_i z_i a_ii - 1.
     """
-    thetas, z, a, eta = _whiten_rows(thetas, Ys, p)
+    thetas, Ys = _checked(thetas, Ys, p)
+    z, a, eta = _whiten_rows(thetas, Ys, p)
     grad = np.zeros_like(thetas)
     for i, k in enumerate(_diag_columns(p)):
         grad[:, i] += a[i] * eta[i]

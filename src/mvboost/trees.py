@@ -26,6 +26,13 @@ rows are known, so the grower also returns the trees' predictions on its own
 rows, and it sends validation rows down the levels it built to predict them
 too.  Growth raises ``FloatingPointError`` when a sum or square of the
 targets overflows float64, rather than picking splits on infinities.
+
+Prediction comes in two forms with the same values bit for bit.
+:func:`predict_tree_batch` sends any rows down a tree, one recursive
+traversal that partitions the row indices at each split.  A one-feature
+tree is a step function of x: :func:`leaf_intervals` gives each leaf's
+interval (lo, hi], and :func:`predict_sorted` fills the predictions of rows
+sorted by x with one ``np.repeat`` of the leaf values.
 """
 
 from __future__ import annotations
@@ -504,3 +511,43 @@ def _predict_into(node, X, idx, out):
     _predict_into(node.left, X, idx.compress(mask), out)
     _predict_into(node.right, X, idx.compress(~mask), out)
 
+
+def leaf_intervals(tree: RegressionTree):
+    """A one-feature tree's leaves as arrays ``(lo, hi, value)`` sorted by lo.
+
+    A row x reaches a leaf exactly when lo < x <= hi: lo is the largest
+    threshold its path passes going right (-inf if none) and hi the smallest
+    it passes going left (+inf if none).  That holds whatever the thresholds,
+    also when a child's threshold lies outside its parent's interval or is
+    infinite (not NaN, which neither growth nor a model file makes); such a
+    leaf's interval is empty, lo >= hi.
+    """
+    lo, hi, value = [], [], []
+    stack = [(tree.root, -math.inf, math.inf)]
+    while stack:
+        node, a, b = stack.pop()
+        if isinstance(node, Leaf):
+            lo.append(a)
+            hi.append(b)
+            value.append(node.value)
+        else:
+            t = node.threshold
+            stack.append((node.right, max(a, t), b))
+            stack.append((node.left, a, min(b, t)))
+    lo = np.array(lo)
+    by_lo = np.argsort(lo, kind="stable")
+    return lo[by_lo], np.array(hi)[by_lo], np.array(value)[by_lo]
+
+
+def predict_sorted(tree: RegressionTree, xs) -> np.ndarray:
+    """:func:`predict_tree_batch` of a one-feature tree on the ascending
+    values ``xs``, bit for bit.
+
+    The rows in the leaf (lo, hi] are the run of ``xs`` between
+    ``searchsorted(xs, lo, "right")`` and ``searchsorted(xs, hi, "right")``;
+    those runs lie back to back in order of lo, and an empty interval holds
+    no row, so one ``np.repeat`` of the leaf values fills the predictions.
+    """
+    lo, hi, value = leaf_intervals(tree)
+    counts = xs.searchsorted(hi, "right") - xs.searchsorted(lo, "right")
+    return np.repeat(value, np.maximum(counts, 0))

@@ -11,6 +11,8 @@ from mvboost import boosting
 from mvboost.boosting import (
     LINE_SEARCH_GRID,
     BoostConfig,
+    BoostModel,
+    Stage,
     fit,
     fit_independent,
     line_search,
@@ -24,9 +26,17 @@ from mvboost.distributions import (
 )
 from mvboost.model_io import model_to_dict
 from mvboost.simulation import generate
-from mvboost.trees import TreeParams
+from mvboost.trees import (
+    Leaf,
+    RegressionTree,
+    Split,
+    TreeParams,
+    leaf_intervals,
+    predict_sorted,
+    predict_tree_batch,
+)
 
-from conftest import in_layout
+from conftest import in_layout, reference_theta, thresholds
 
 
 def _unit_gaussian_rows(mus):
@@ -457,3 +467,88 @@ class TestTargetScaleRange:
         mu = c * predict_theta(base, self.DATA.X)[:, :2]
         got = predict_theta(model, self.DATA.X)[:, :2]
         assert np.all(np.abs(got - mu) <= 1e-12 * np.abs(mu).max())
+
+
+class TestOneFeaturePrediction:
+    """A one-feature model predicts from the rows sorted once, filling each
+    tree's leaf intervals; it must give the per-tree reference bit for bit."""
+
+    @staticmethod
+    def _problem(seed, n, p, decimals):
+        """Rounded x, so rows tie; x beyond its range for prediction."""
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.uniform(0.0, 3.0, size=(n, 1)), decimals)
+        Y = np.sin(2.0 * X) + 0.3 * rng.standard_normal((n, p))
+        return X, Y, rng.uniform(-1.0, 4.0, size=(7, 1)), rng
+
+    @staticmethod
+    def _rows(model, X, extra, rng):
+        """The training x, every threshold of the model and ``extra``, shuffled."""
+        rows = np.concatenate([X[:, 0], thresholds(model), extra[:, 0]])
+        return rng.permutation(rows)[:, None]
+
+    @staticmethod
+    def _config(depth):
+        return BoostConfig(n_stages_max=4, learning_rate=0.3,
+                           tree_params=TreeParams(max_depth=depth))
+
+    def _assert_reference(self, model, rows, layout="C"):
+        got = predict_theta(model, in_layout(rows, layout))
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, reference_theta(model, rows))
+        return got
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(8, 60), p=st.integers(1, 3),
+           depth=st.integers(1, 5), decimals=st.integers(0, 2),
+           layout=st.sampled_from(["C", "F", "strided"]))
+    def test_matches_per_tree_reference(self, seed, n, p, depth, decimals, layout):
+        X, Y, extra, rng = self._problem(seed, n, p, decimals)
+        model = fit(X, Y, config=self._config(depth))
+        rows = self._rows(model, X, extra, rng)
+        got = self._assert_reference(model, rows, layout)
+        for few in (rows[:0], rows[:1]):
+            self._assert_reference(model, few, layout)
+        perm = rng.permutation(rows.shape[0])
+        assert np.array_equal(predict_theta(model, rows[perm]), got[perm])
+        for best in (0, 1):
+            self._assert_reference(dataclasses.replace(model, best_stage=best), rows, layout)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(8, 60), p=st.integers(1, 3),
+           depth=st.integers(1, 5), decimals=st.integers(0, 2))
+    def test_independent_model_matches_per_tree_reference(self, seed, n, p, depth, decimals):
+        X, Y, extra, rng = self._problem(seed, n, p, decimals)
+        model = fit_independent(X, Y, config=self._config(depth))
+        rows = np.concatenate([self._rows(m, X, extra, rng) for m in model.models])
+        joint = model.predict_theta(rows)
+        diag = p + np.flatnonzero(np.equal(*np.triu_indices(p)))
+        for i, sub in enumerate(model.models):
+            ref = reference_theta(sub, rows)
+            assert np.array_equal(predict_theta(sub, rows), ref)
+            assert np.array_equal(joint[:, [i, diag[i]]], ref)
+
+    def test_thresholds_outside_the_parents_interval(self):
+        inf = np.inf
+        # x <= 0 reaches only leaf 1.0 and x > 0 only leaf 5.0: every other
+        # leaf lies behind a threshold outside its parent's interval
+        tree = RegressionTree(n_features=1, root=Split(0, 0.0,
+            Split(0, 1.0, Leaf(1.0), Leaf(2.0)),
+            Split(0, -1.0, Leaf(3.0),
+                  Split(0, inf, Split(0, -inf, Leaf(4.0), Leaf(5.0)), Leaf(6.0)))))
+        lo, hi, value = leaf_intervals(tree)
+        assert np.all(lo[:-1] <= lo[1:])
+        live = lo < hi
+        assert value[live].tolist() == [1.0, 5.0]
+        assert lo[live].tolist() == [-inf, 0.0] and hi[live].tolist() == [0.0, inf]
+        all_left = RegressionTree(n_features=1, root=Split(0, inf, Leaf(7.0), Leaf(8.0)))
+        all_right = RegressionTree(n_features=1, root=Split(0, -inf, Leaf(9.0), Leaf(10.0)))
+        xs = np.array([-1e300, -1.0, -1.0, 0.0, 0.0, 1e-300, 1.0, 2.0, 1e300])
+        for t in (tree, all_left, all_right):
+            assert np.array_equal(predict_sorted(t, xs), predict_tree_batch(t, xs[:, None]))
+            assert predict_sorted(t, xs[:0]).shape == (0,)
+        model = BoostModel(theta0=np.array([0.5, -0.25]), config=BoostConfig(learning_rate=0.5),
+                           stages=(Stage(0.75, (tree, all_left)), Stage(2.0, (all_right, tree))),
+                           best_stage=2, n_features=1)
+        self._assert_reference(model, xs[::-1, None])
+        assert predict_theta(model, [[0.0]]).tolist() == [[0.5 - 0.375 - 10.0, -0.25 - 2.625 - 1.0]]

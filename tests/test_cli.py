@@ -364,6 +364,24 @@ class TestTrainPredict:
         nlls = [float(r[2]) for r in rows]
         assert nlls[-1] <= nlls[0]
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    @pytest.mark.parametrize("force", [False, True], ids=["no-force", "force"])
+    def test_log_naming_the_model_file_refused(self, runner, tmp_path, spelling, force):
+        # a data file that is not UTF-8 would exit 3 if it were read
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"x,y1,y2\n\xff\xfe,1,2\n")
+        out = tmp_path / "m.json"
+        log = {"same": out, "dotted": tmp_path / "." / "m.json",
+               "symlink": tmp_path / "link.json"}[spelling]
+        if spelling == "symlink":
+            log.symlink_to(out)
+        result = runner.invoke(
+            main, ["train", "--data", str(data), "--targets", "y1,y2", "--out", str(out),
+                   "--log", str(log), *(["--force"] if force else [])])
+        assert result.exit_code == 2, result.output
+        assert "--log" in result.output
+        assert not out.exists()
+
 
 DELETE = "<delete>"
 # Wrong types, NaN, infinities and out-of-range numbers for any field.

@@ -3,7 +3,11 @@
 ``data/golden_models.json`` holds ``model_to_dict`` of both fits as the
 program wrote them before the grower also routed the validation rows.  A
 change that claims to leave fits bit-identical must leave these equal; one
-that changes a result on purpose regenerates the file and says so.
+that changes a result on purpose regenerates the file and says so.  The
+models read back from the file must also predict the per-tree reference sum
+bit for bit: ``p2_d3_tied`` through the per-tree traversal of a model with
+several features, ``p3_d1_tie_free`` through the sorted leaf intervals of a
+one-feature model.
 """
 
 import json
@@ -12,9 +16,11 @@ import os
 import numpy as np
 import pytest
 
-from mvboost.boosting import BoostConfig, fit
-from mvboost.model_io import model_to_dict
+from mvboost.boosting import BoostConfig, fit, predict_theta
+from mvboost.model_io import model_from_dict, model_to_dict
 from mvboost.trees import TreeParams
+
+from conftest import reference_theta, thresholds
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_models.json")
 
@@ -56,3 +62,17 @@ def test_fit_matches_golden_model(name):
     model = fit(X, Y, X_val, Y_val, config)
     # through JSON, as a saved model: floats compare by their exact repr
     assert json.loads(json.dumps(model_to_dict(model))) == golden
+
+
+@pytest.mark.parametrize("name", ["p2_d3_tied", "p3_d1_tie_free"])
+def test_golden_model_predicts_the_per_tree_reference(name):
+    X, _, X_val, _, _ = golden_problem(name)
+    with open(GOLDEN) as fh:
+        model, _ = model_from_dict(json.load(fh)[name])
+    assert 0 < model.best_stage
+    # every threshold and values beyond the data, each in every feature column
+    cuts = np.concatenate([thresholds(model), np.linspace(-3.0, 3.0, 13)])
+    rows = np.concatenate([X, X_val, np.repeat(cuts[:, None], X.shape[1], axis=1)])
+    got = predict_theta(model, rows)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, reference_theta(model, rows))
