@@ -3,10 +3,10 @@
 Each stage fits one regression tree per parameter component to the per-row
 natural gradients (Fisher-preconditioned score).  One
 :class:`trees.StageGrower`, made once per fit, sorts X and grows each stage's
-M trees together; it also returns their predictions on the training rows and
-on the validation rows.  The stage is scaled by a line
-search over a fixed geometric grid, and the step is damped by the learning
-rate:
+M trees together; it also returns their predictions on the training rows.
+The validation rows are predicted as :func:`predict_theta` predicts any rows.
+The stage is scaled by a line search over a fixed geometric grid, and the
+step is damped by the learning rate:
 
     theta(x) = theta0 - learning_rate * sum_b rho_b * f_b(x)
 
@@ -139,6 +139,20 @@ def _stage_predictions(trees, X, predict):
     return out
 
 
+def _prediction_route(X):
+    """How :func:`predict_theta` predicts the finite, column-major rows X:
+    ``(rows, predict, order)``, where ``predict(tree, rows)`` gives a tree's
+    predictions on ``rows``.  With one feature, ``rows`` are the values of x
+    sorted once, at ``order`` of X, and ``predict`` fills them from the leaf
+    intervals; otherwise ``rows`` is X, each tree traverses it and ``order``
+    is None.
+    """
+    if X.shape[1] == 1:
+        order = np.argsort(X[:, 0])
+        return X[order, 0], predict_sorted, order
+    return X, predict_tree_batch, None
+
+
 def _targets(Y, name):
     """Y as a float (n, p) array, one column when 1-D; refused unless finite."""
     Y = np.asarray(Y, dtype=float)
@@ -166,14 +180,15 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
         raise ValueError("X_val and Y_val must be given together")
     have_val = X_val is not None and (np.size(X_val) > 0 or np.size(Y_val) > 0)
     if have_val:
-        X_val = np.atleast_2d(np.asarray(X_val, dtype=float))
+        X_val = np.asfortranarray(np.atleast_2d(np.asarray(X_val, dtype=float)))
         Y_val = _targets(Y_val, "Y_val")
         if X_val.shape[1] != X_train.shape[1] or Y_val.shape != (X_val.shape[0], p):
             raise ValueError(f"X_val {X_val.shape} and Y_val {Y_val.shape} do not fit "
                              f"X_train {X_train.shape} and Y_train {Y_train.shape}")
+        if not np.all(np.isfinite(X_val)):
+            raise ValueError("X_val holds a NaN or an infinity")
 
-    grower = StageGrower(X_train, param_count(p), config.tree_params,
-                         X_val if have_val else None)
+    grower = StageGrower(X_train, param_count(p), config.tree_params)
     theta0 = distributions.marginal_mle(Y_train).values
     # Column-major theta and Y: each parameter's column is contiguous
     # for the NLL, the gradients, the tree targets and the stage updates.
@@ -187,6 +202,7 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
     best_val = np.inf
     if have_val:
         Y_val = np.asfortranarray(Y_val)
+        val_rows, val_predict, val_order = _prediction_route(X_val)
         thetas_val = np.asfortranarray(np.tile(theta0, (X_val.shape[0], 1)))
         best_val = float(np.mean(distributions.nll_batch(thetas_val, Y_val, p)))
         val_path.append(best_val)
@@ -201,7 +217,7 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
             raise NonFiniteGradientError(b, int(np.argmin(finite_rows)))
 
         try:
-            trees, f_train, f_val = grower(grads)
+            trees, f_train = grower(grads)
         except FloatingPointError as exc:
             raise TreeOverflowError(b) from exc
         rho = line_search(thetas, f_train, Y_train)
@@ -210,6 +226,9 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
         train_path.append(float(np.mean(distributions.nll_batch(thetas, Y_train, p))))
 
         if have_val:
+            f_val = _stage_predictions(trees, val_rows, val_predict)
+            if val_order is not None:  # back to X_val's row order
+                f_val[val_order] = f_val.copy()
             thetas_val = thetas_val - config.learning_rate * rho * f_val
             val_nll = float(np.mean(distributions.nll_batch(thetas_val, Y_val, p)))
             val_path.append(val_nll)
@@ -248,11 +267,7 @@ def predict_theta(model: BoostModel, X) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
-    order = None
-    rows, predict = X, predict_tree_batch
-    if model.n_features == 1:
-        order = np.argsort(X[:, 0])
-        rows, predict = X[order, 0], predict_sorted
+    rows, predict, order = _prediction_route(X)
     # column-major while the stages add up, as in fit; returned row-major
     thetas = np.asfortranarray(np.tile(model.theta0, (X.shape[0], 1)))
     lr = model.config.learning_rate

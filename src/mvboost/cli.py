@@ -393,10 +393,12 @@ def cmd_benchmark(n_grid, reps, methods, variant, threads, stages, learning_rate
     except OSError as exc:
         raise click.UsageError(f"cannot make the directory {out_dir}: {exc.strerror}") from None
     out_path = os.path.join(out_dir, "results.csv")
+    agg_path = simulation.aggregate_path(out_path)
     _check_overwrite(out_path, force)
+    _check_overwrite(agg_path, force)
     rows, aggregates = simulation.run_experiment(plan, out_path, workers=threads)
     _echo_aggregate_table(aggregates)
-    click.echo(f"wrote {out_path} and {os.path.join(out_dir, 'results_aggregate.csv')}")
+    click.echo(f"wrote {out_path} and {agg_path}")
 
 
 def _echo_aggregate_table(aggregates):

@@ -167,6 +167,12 @@ def _run_cell_args(args):
     return run_cell(*args)
 
 
+def aggregate_path(out_path):
+    """Where :func:`run_experiment` writes the aggregate table of ``out_path``."""
+    stem = str(out_path)
+    return (stem[:-4] if stem.endswith(".csv") else stem) + "_aggregate.csv"
+
+
 def run_experiment(plan: ExperimentPlan, out_path=None, workers: int = 1):
     """Run all cells of the plan; returns (cell_rows, aggregate_rows).
 
@@ -181,6 +187,7 @@ def run_experiment(plan: ExperimentPlan, out_path=None, workers: int = 1):
         for method in plan.methods
         for r in range(plan.replications)
     ]
+    workers = min(workers, len(jobs))  # the pool starts every worker up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell_args, jobs))
@@ -192,9 +199,7 @@ def run_experiment(plan: ExperimentPlan, out_path=None, workers: int = 1):
         write_csv(out_path, CELL_CSV_COLUMNS + ["error"],
                   [[r.get(c, "") for c in CELL_CSV_COLUMNS] + [r.get("error", "")]
                    for r in rows])
-        stem = str(out_path)
-        agg_path = (stem[:-4] if stem.endswith(".csv") else stem) + "_aggregate.csv"
-        write_csv(agg_path, AGG_CSV_COLUMNS,
+        write_csv(aggregate_path(out_path), AGG_CSV_COLUMNS,
                   [[r[c] for c in AGG_CSV_COLUMNS] for r in aggregates])
     return rows, aggregates
 

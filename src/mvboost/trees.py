@@ -21,11 +21,11 @@ level passes over only what its inputs need: a feature with no repeated
 value needs no test that the values either side of a split differ; the
 ascending order alone is routed by value, and the sorted orders look their
 rows' sides up; on the last split level, whose children are all leaves, the
-ascending order alone is routed and partitioned.  Leaves are made where their
-rows are known, so the grower also returns the trees' predictions on its own
-rows, and it sends validation rows down the levels it built to predict them
-too.  Growth raises ``FloatingPointError`` when a sum or square of the
-targets overflows float64, rather than picking splits on infinities.
+partition moves the ascending order alone.  Leaves are made where their rows
+are known, so the grower also returns the trees' predictions on its own rows;
+any other rows take one of the prediction routes below.  Growth raises
+``FloatingPointError`` when a sum or square of the targets overflows float64,
+rather than picking splits on infinities.
 
 Prediction comes in two forms with the same values bit for bit.
 :func:`predict_tree_batch` sends any rows down a tree, one recursive
@@ -120,12 +120,11 @@ def _carve(buf, *shape):
 class StageGrower:
     """Level-wise growth of the M trees of each boosting stage on one X.
 
-    The constructor checks X and the validation rows ``X_val``, sorts X once,
-    marks the features that hold a value twice and allocates the scratch
-    arrays.  Each call ``grower(G)`` grows one stage: one tree per column of
-    the (n, M) targets G.  It returns ``(trees, F, F_val)``: the trees, and
-    their predictions on X and on ``X_val`` as column-major arrays, bit for
-    bit those of :func:`predict_tree_batch`.  A call raises
+    The constructor checks X, sorts it once, marks the features that hold a
+    value twice and allocates the scratch arrays.  Each call ``grower(G)``
+    grows one stage: one tree per column of the (n, M) targets G.  It returns
+    ``(trees, F)``: the trees, and their predictions on X as a column-major
+    array, bit for bit those of :func:`predict_tree_batch`.  A call raises
     ``FloatingPointError`` if a sum or a square of the targets overflows.
 
     A level is a (d + 1, T) array of row ids holding the open nodes of a
@@ -138,26 +137,18 @@ class StageGrower:
     every block, group and stage reuses, so its temporaries stay in cache.
     Node ids count up level by level, so a child's id is above its
     parent's; the splits and leaves made are kept as arrays per level.
-    Once a group's trees are grown, the rows of X_val go down its levels,
-    all trees at once, and their leaves' values go to F_val.
     """
 
-    def __init__(self, X, n_trees, params: TreeParams | None = None, X_val=None):
+    def __init__(self, X, n_trees, params: TreeParams | None = None):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] == 0 or X.shape[1] == 0:
             raise EmptyTrainingSetError("tree growth requires at least one row and one feature")
         if not np.all(np.isfinite(X)):
             raise ValueError("X holds a NaN or an infinity")
-        X_val = X[:0] if X_val is None else np.asarray(X_val, dtype=float)
-        if X_val.ndim != 2 or X_val.shape[1] != X.shape[1]:
-            raise ValueError(f"X_val has shape {X_val.shape}, X has {X.shape}")
-        if not np.all(np.isfinite(X_val)):
-            raise ValueError("X_val holds a NaN or an infinity")
         self.n, self.d = n, d = X.shape
-        self.n_trees, self.n_val = n_trees, X_val.shape[0]
+        self.n_trees = n_trees
         self.params = params or TreeParams()
         self.x_flat = X.ravel(order="F")  # feature k at [k n, k n + n)
-        self.xv_flat = X_val.ravel(order="F")
         order = np.argsort(X, axis=0, kind="stable")
         self.order = order.T  # row k: the rows sorted by feature k
         # Features whose column holds a value twice.  Only their splits need
@@ -180,7 +171,7 @@ class StageGrower:
         self.leaves = []  # (ids, values)
 
     def __call__(self, G):
-        """One stage's ``(trees, F, F_val)`` on the (n, M) targets G."""
+        """One stage's ``(trees, F)`` on the (n, M) targets G."""
         G = np.asfortranarray(G, dtype=float)
         if G.ndim != 2 or G.shape[1] != self.n_trees:
             raise ValueError(f"targets must be an (n, {self.n_trees}) array, got shape {G.shape}")
@@ -189,15 +180,13 @@ class StageGrower:
         if not np.all(np.isfinite(G)):
             raise ValueError("targets hold a NaN or an infinity")
         F = np.empty(G.shape, order="F")
-        F_val = np.empty((self.n_val, self.n_trees), order="F")
         self.g_flat = G.ravel(order="F")  # target column m at [m n, m n + n)
-        self.f_flat = F.reshape(-1, order="F")  # views: leaves write F and F_val
-        self.fv_flat = F_val.reshape(-1, order="F")
+        self.f_flat = F.reshape(-1, order="F")  # a view: leaves write F
         trees = []
         with np.errstate(over="raise"):
             for first in range(0, self.n_trees, self.group):
                 trees += self.grow(np.arange(first, min(first + self.group, self.n_trees)))
-        return tuple(trees), F, F_val
+        return tuple(trees), F
 
     def settle(self, rows, sizes, cols, ids, shut, means=None):
         """Make leaves of the ``shut`` nodes of a level, given its ascending
@@ -233,21 +222,20 @@ class StageGrower:
             parent_sse[a:b] = _node_sums(dev, sz)
         return sums[:, 0] / sizes, parent_sse, sums[:, 1]
 
-    def scan(self, level, sizes, cols, parent_sse, sum_sq, last):
+    def scan(self, level, sizes, cols, parent_sse, sum_sq):
         """Best split of every node of a level.
 
         Returns per node the feature, threshold, left-child size and whether
         it splits (not if its targets are constant within the tolerance, or
         no split gains), and the mask of the positions of ``level`` whose
-        row routes left: of every row, or of row d alone on the ``last``
-        level, whose children are all leaves.
+        row routes left.
         """
         d, n, min_leaf = self.d, self.n, self.params.min_samples_leaf
         feat = np.empty(sizes.size, dtype=np.intp)
         thr = np.empty(sizes.size)
         low = np.empty(sizes.size)
         n_left = np.empty(sizes.size, dtype=np.intp)
-        goes_left = _carve(self.left, 1 if last else d + 1, level.shape[1])
+        goes_left = _carve(self.left, d + 1, level.shape[1])
         for a, b, p0, p1 in _blocks(sizes, self.cap):
             span = p1 - p0
             sz = sizes[a:b]
@@ -308,13 +296,13 @@ class StageGrower:
             # Route row d by value, and the other orders by a lookup of their
             # rows' sides; with one other order the lookup costs more than the
             # gather it saves.
-            lookup = d > 1 and not last
-            by_value = d if lookup or last else 0  # the first row routed by value
+            lookup = d > 1
+            by_value = d if lookup else 0  # the first row routed by value
             np.add(level[by_value:, p0:p1], np.repeat(at, sz), out=idx[by_value:])
             x_split = _carve(self.acc, d + 1 - by_value, span)
             np.take(self.x_flat, idx[by_value:], out=x_split, mode="clip")
-            np.less_equal(x_split, np.repeat(t, sz), out=goes_left[by_value - d - 1:, p0:p1])
-            mask = goes_left[-1, p0:p1]
+            np.less_equal(x_split, np.repeat(t, sz), out=goes_left[by_value:, p0:p1])
+            mask = goes_left[d, p0:p1]
             if lookup:
                 np.add(level[d, p0:p1], to_g, out=idx[d])
                 self.side[idx[d]] = mask
@@ -334,7 +322,8 @@ class StageGrower:
         child.  It is written over ``level``, one row at a time through a
         spare row: row k of the shorter next level ends before row k + 1 of
         this one begins.  Unless every child is open, also returns the
-        ascending rows of every child, for the leaves made of the others."""
+        ascending rows of every child, for the leaves made of the others; on
+        the last level, where no child is open, only that row moves."""
         d = self.d
         kids = kid_open.size // 2
         total = int(kid_sizes[kid_open].sum())
@@ -373,10 +362,10 @@ class StageGrower:
 
     def grow(self, cols):
         """The trees of target columns ``cols``, a run of consecutive
-        columns; their predictions are written into F and F_val."""
+        columns; their predictions are written into F."""
         d, n = self.d, self.n
         max_depth, min_leaf = self.params.max_depth, self.params.min_samples_leaf
-        first, n_trees = cols[0], cols.size
+        n_trees = cols.size
         self.splits.clear()
         self.leaves.clear()
         # Level 0: every tree's root, node id m for the m-th tree, holds every row.
@@ -394,8 +383,7 @@ class StageGrower:
         while sizes.size:
             means, parent_sse, sum_sq = self.stats(level[d], sizes, cols)
             last = levels == max_depth - 1
-            feat, thr, n_left, split, goes_left = self.scan(level, sizes, cols, parent_sse,
-                                                            sum_sq, last)
+            feat, thr, n_left, split, goes_left = self.scan(level, sizes, cols, parent_sse, sum_sq)
             if not split.all():
                 self.settle(level[d], sizes, cols, ids, ~split, means)
                 if not split.any():
@@ -416,62 +404,31 @@ class StageGrower:
             if not kid_open.all():
                 self.settle(kid_rows, sizes, cols, ids, ~kid_open)
                 sizes, cols, ids = sizes[kid_open], cols[kid_open], ids[kid_open]
-        nodes = self.nodes(next_id)
-        self.predict_val(nodes, levels, first, n_trees)
-        return self.build(nodes, n_trees)
+        return self.build(next_id, n_trees)
 
-    def nodes(self, n_nodes):
-        """The node records as arrays indexed by node id: feature,
-        threshold, left and right child id, and value.  A leaf is its own
-        left and right child, with threshold +inf; a split has value 0."""
-        feat = np.zeros(n_nodes, dtype=np.intp)
-        thr = np.full(n_nodes, np.inf)
-        left = np.arange(n_nodes)
-        right = np.arange(n_nodes)
-        value = np.zeros(n_nodes)
-        for ids, f, t, lo, hi in self.splits:
-            feat[ids], thr[ids], left[ids], right[ids] = f, t, lo, hi
-        for ids, v in self.leaves:
-            value[ids] = v
-        return feat, thr, left, right, value
-
-    def predict_val(self, nodes, levels, first, n_trees):
-        """Send the validation rows down the ``levels`` levels of split
-        nodes of trees ``first`` .. ``first + n_trees - 1``, all trees at
-        once, and write their leaves' values into F_val."""
-        feat, thr, left, right, value = nodes
-        n_val = self.n_val
-        rows = np.tile(np.arange(n_val), n_trees)
-        node = np.repeat(np.arange(n_trees), n_val)
-        x_at = feat * n_val
-        for _ in range(levels):
-            goes_left = self.xv_flat.take(x_at.take(node) + rows) <= thr.take(node)
-            node = np.where(goes_left, left.take(node), right.take(node))
-        self.fv_flat[first * n_val:(first + n_trees) * n_val] = value.take(node)
-
-    def build(self, nodes, n_trees):
-        """The trees from the node records, children before parents."""
-        feat, thr, left, right, value = (a.tolist() for a in nodes)
-        built = [None] * len(value)
-        for i in range(len(value) - 1, -1, -1):
-            if left[i] == i:
-                built[i] = Leaf(value[i])
-            else:
-                built[i] = Split(feat[i], thr[i], built[left[i]], built[right[i]])
+    def build(self, n_nodes, n_trees):
+        """The trees from the records of the leaves and of each level's
+        splits, the deepest level first, so children come before parents."""
+        built = [None] * n_nodes
+        for ids, values in self.leaves:
+            for i, value in zip(ids.tolist(), values.tolist()):
+                built[i] = Leaf(value)
+        for ids, feat, thr, left, right in reversed(self.splits):
+            for i, f, t, lo, hi in zip(*(a.tolist() for a in (ids, feat, thr, left, right))):
+                built[i] = Split(f, t, built[lo], built[hi])
         return [RegressionTree(root=built[m], n_features=self.d) for m in range(n_trees)]
 
 
-def fit_stage(X, G, params: TreeParams | None = None, X_val=None):
+def fit_stage(X, G, params: TreeParams | None = None):
     """Grow one regression tree per column of ``G`` on the rows of ``X``.
 
-    Returns ``(trees, F, F_val)``: the M trees, and their predictions on X
-    and on the validation rows ``X_val`` (none when not given); see
+    Returns ``(trees, F)``: the M trees and their predictions on X; see
     :class:`StageGrower`, which grows many stages on one X.
     """
     G = np.asarray(G, dtype=float)
     if G.ndim != 2:
         raise ValueError(f"targets must be an (n, M) array, got shape {G.shape}")
-    return StageGrower(X, G.shape[1], params, X_val)(G)
+    return StageGrower(X, G.shape[1], params)(G)
 
 
 def fit_tree(X, targets, params: TreeParams | None = None) -> RegressionTree:

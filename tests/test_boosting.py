@@ -236,8 +236,8 @@ class TestEarlyStopping:
 
 
 class TestValidationRows:
-    """The validation predictions come from the tree grower, which routes
-    the validation rows down the levels it builds."""
+    """The validation rows are predicted as predict_theta predicts them; on
+    two features, one of them tied, each tree traverses the rows."""
 
     @staticmethod
     def _data():
@@ -262,6 +262,20 @@ class TestValidationRows:
         without = fit(X, Y, config=config)
         assert with_val.stages == without.stages
         assert with_val.train_nll_path == without.train_nll_path
+
+
+class TestValidationRowsOneFeature(TestValidationRows):
+    """The same on one feature, whose validation rows are sorted once,
+    predicted from the leaf intervals and put back in their order.  The
+    rows tie, and some lie on a candidate threshold, which routes them left."""
+
+    @staticmethod
+    def _data():
+        X, Y = small_dataset(n=260, seed=11)
+        X = np.round(X, 1)
+        values = np.unique(X[:180])
+        X[180:180 + values.size - 1, 0] = 0.5 * (values[:-1] + values[1:])
+        return X[:180], Y[:180], X[180:], Y[180:]
 
 
 class TestIndependent:

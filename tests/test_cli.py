@@ -770,6 +770,22 @@ class TestBenchmark:
         assert agg_header == ["N", "method", "metric", "mean", "stderr"]
         assert "mean test KL divergence" in result.output
 
+    def test_refuses_to_overwrite_the_aggregate_table(self, runner, tmp_path):
+        out = tmp_path / "bench"
+        out.mkdir()
+        aggregate = out / "results_aggregate.csv"
+        aggregate.write_text("old")
+        args = ["benchmark", "--n-grid", "60", "--reps", "1", "--methods", "ngb",
+                "--stages", "3", "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "results_aggregate.csv" in result.output
+        assert aggregate.read_text() == "old"
+        assert not (out / "results.csv").exists()  # refused before any fit
+        result = runner.invoke(main, args + ["--force"])
+        assert result.exit_code == 0, result.output
+        assert read_csv(aggregate)[0] == ["N", "method", "metric", "mean", "stderr"]
+
     def test_worker_processes_give_identical_tables(self, runner, tmp_path):
         outs = []
         for threads in ("1", "2"):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mvboost import simulation
 from mvboost.boosting import BoostConfig
 from mvboost.distributions import to_moment_form, ThetaVector
 from mvboost.simulation import (
@@ -183,6 +184,34 @@ class TestExperiment:
         assert {a["method"] for a in kl_rows} == {"ngb", "indep-ngb"}
         for a in aggregates:
             assert np.isfinite(a["mean"]) and a["stderr"] >= 0.0
+
+    @pytest.mark.parametrize("replications, started", [(1, None), (3, 3)])
+    def test_starts_no_more_workers_than_cells(self, monkeypatch, replications, started):
+        class InProcessPool:
+            """Records the worker count asked for and maps in this process."""
+
+            max_workers = None
+
+            def __init__(self, max_workers):
+                InProcessPool.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcessPool)
+        plan = ExperimentPlan(
+            n_train_grid=(60,), n_val=30, n_test=40, replications=replications,
+            methods=("ngb",), config=BoostConfig(n_stages_max=3, learning_rate=0.1),
+        )
+        rows, _ = run_experiment(plan, workers=64)
+        assert len(rows) == replications
+        assert InProcessPool.max_workers == started
 
     def test_aggregate_excludes_errors(self):
         rows = [

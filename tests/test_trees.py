@@ -365,26 +365,13 @@ def small_levels(small):
     return mock.patch.multiple(trees, _LEVEL=1, _BLOCK=64) if small else contextlib.nullcontext()
 
 
-def rows_on_thresholds(X, stage):
-    """X, and rows of X moved onto each split's threshold (which routes them
-    left) and onto the next double above it."""
-    rows = [X]
-    for tree in stage:
-        for split in _splits(tree.root):
-            for value in (split.threshold, np.nextafter(split.threshold, np.inf)):
-                moved = X[:3].copy()
-                moved[:, split.feature_index] = value
-                rows.append(moved)
-    return np.vstack(rows)
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # growth computes no inf or nan
 class TestFitStage:
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_stages(), st.sampled_from(["C", "F", "strided"]))
     def test_each_column_is_the_reference_tree_and_F_its_prediction(self, problem, layout):
         X, G, params = problem
-        stage, F, _ = fit_stage(in_layout(X, layout), in_layout(G, layout), params)
+        stage, F = fit_stage(in_layout(X, layout), in_layout(G, layout), params)
         assert len(stage) == G.shape[1] and F.shape == G.shape
         for m, tree in enumerate(stage):
             assert tree.root == reference_tree(X, G[:, m], params)
@@ -395,12 +382,12 @@ class TestFitStage:
         X = np.round(rng.normal(size=(120, 2)), 1)
         G = rng.normal(size=(120, 5))
         params = TreeParams(max_depth=6)
-        stage, F, _ = fit_stage(X, G, params)
+        stage, F = fit_stage(X, G, params)
         # one tree per level and a few nodes per block, where the default
         # grows all five trees in one level and one block
         monkeypatch.setattr(trees, "_LEVEL", 1)
         monkeypatch.setattr(trees, "_BLOCK", 64)
-        small_stage, small_F, _ = fit_stage(X, G, params)
+        small_stage, small_F = fit_stage(X, G, params)
         assert small_stage == stage
         assert np.array_equal(small_F, F)
 
@@ -412,10 +399,9 @@ class TestFitStage:
         rng = np.random.default_rng(13)
         X = np.round(rng.normal(size=(150, 3)), 1)  # tie-heavy
         X[:, 1] = 2.0  # a constant column
-        X_val = np.vstack([X[:20], np.round(rng.normal(size=(30, 3)), 1)])
         params = TreeParams(max_depth=4, min_samples_leaf=2)
         with small_levels(small):
-            grower = StageGrower(X, 4, params, X_val)
+            grower = StageGrower(X, 4, params)
             for scale in (1.0, 1e-6, 1e6, 1e160, 1.0):
                 G = scale * rng.normal(size=(150, 4))
                 G[:, 2] = scale  # a constant target
@@ -423,17 +409,17 @@ class TestFitStage:
                     with pytest.raises(FloatingPointError):
                         grower(G)
                     continue
-                stage, F, F_val = grower(G)
-                fresh_stage, fresh_F, fresh_F_val = fit_stage(X, G, params, X_val)
+                stage, F = grower(G)
+                fresh_stage, fresh_F = fit_stage(X, G, params)
                 assert stage == fresh_stage
-                assert np.array_equal(F, fresh_F) and np.array_equal(F_val, fresh_F_val)
+                assert np.array_equal(F, fresh_F)
 
     def test_single_column_is_fit_tree(self):
         rng = np.random.default_rng(9)
         X = np.round(rng.normal(size=(90, 3)), 1)
         G = rng.normal(size=(90, 4))
         params = TreeParams(max_depth=5, min_samples_leaf=2)
-        stage, _, _ = fit_stage(X, G, params)
+        stage, _ = fit_stage(X, G, params)
         assert stage == tuple(fit_tree(X, G[:, m], params) for m in range(4))
 
     def test_overflow_raises(self):
@@ -447,18 +433,18 @@ class TestFitStage:
     def test_no_overflow_beyond_the_split_scan(self):
         # The squared node total (3.5e308) overflows, but it is no split's
         # term: every sum the split scan needs fits.
-        stage, F, _ = fit_stage(np.array([[0.0], [1.0]]), np.array([[9.4e153], [9.3e153]]))
+        stage, F = fit_stage(np.array([[0.0], [1.0]]), np.array([[9.4e153], [9.3e153]]))
         assert isinstance(stage[0].root, Split)
         assert F[:, 0].tolist() == [9.4e153, 9.3e153]
 
     def test_midpoint_rounded_onto_a_value(self):
         # Between adjacent doubles the midpoint rounds onto one of them.
         up = np.array([[1.0], [np.nextafter(1.0, 2.0)]])
-        stage, F, _ = fit_stage(up, np.array([[0.0], [1.0]]))
+        stage, F = fit_stage(up, np.array([[0.0], [1.0]]))
         assert stage[0].root.threshold == 1.0  # the lower value routes left
         assert F[:, 0].tolist() == [0.0, 1.0]
         down = np.array([[np.nextafter(1.0, 0.0)], [1.0]])
-        stage, F, _ = fit_stage(down, np.array([[0.0], [1.0]]))
+        stage, F = fit_stage(down, np.array([[0.0], [1.0]]))
         assert isinstance(stage[0].root, Leaf)  # every row routes left: no split
         assert F[:, 0].tolist() == [0.5, 0.5]
 
@@ -476,23 +462,10 @@ class TestFitStage:
     def test_tie_free_columns_give_the_reference_trees(self, problem, small):
         X, G, params = problem
         with small_levels(small):
-            stage, F, _ = fit_stage(X, G, params)
+            stage, F = fit_stage(X, G, params)
         for m, tree in enumerate(stage):
             assert tree.root == reference_tree(X, G[:, m], params)
             assert np.array_equal(F[:, m], predict_tree_batch(tree, X))
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(tie_heavy_stages(), tie_free_stages()), st.booleans())
-    def test_validation_predictions_are_the_trees_predictions(self, problem, small):
-        X, G, params = problem
-        stage, F, _ = fit_stage(X, G, params)
-        X_val = rows_on_thresholds(X, stage)
-        with small_levels(small):
-            val_stage, val_F, F_val = fit_stage(X, G, params, X_val=X_val)
-        assert val_stage == stage and np.array_equal(val_F, F)
-        assert F_val.shape == (len(X_val), G.shape[1]) and F_val.flags.f_contiguous
-        for m, tree in enumerate(stage):
-            assert np.array_equal(F_val[:, m], predict_tree_batch(tree, X_val))
 
     @pytest.mark.parametrize("small", [False, True], ids=["default", "small-levels"])
     def test_child_with_constant_targets_is_a_leaf(self, small):
@@ -510,17 +483,10 @@ class TestFitStage:
         ])
         params = TreeParams(max_depth=3)
         with small_levels(small):
-            stage, F, _ = fit_stage(X, G, params)
+            stage, F = fit_stage(X, G, params)
         for m, tree in enumerate(stage):
             assert tree.root == reference_tree(X, G[:, m], params)
             assert np.array_equal(F[:, m], predict_tree_batch(tree, X))
         for tree in stage[:2]:
             assert isinstance(tree.root.left, Leaf) and isinstance(tree.root.right, Split)
         assert stage[2].root == Leaf(7.0)
-
-    def test_validation_rows_shape_checked(self):
-        X, G = np.arange(8.0).reshape(4, 2), np.arange(4.0).reshape(4, 1)
-        stage, F, F_val = fit_stage(X, G, X_val=X[:0])
-        assert F_val.shape == (0, 1)
-        with pytest.raises(ValueError, match="X_val"):
-            fit_stage(X, G, X_val=np.zeros((3, 3)))
