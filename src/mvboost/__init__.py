@@ -12,9 +12,7 @@ from .boosting import (
 from .distributions import (
     MomentForm,
     ThetaVector,
-    fisher_information,
     fit_theta_from_moments,
-    kl_divergence,
     marginal_mle,
     natural_gradient,
     nll,
@@ -25,6 +23,6 @@ from .distributions import (
 )
 from .metrics import MetricsReport, chi2_quantile, evaluate, pr_area, pr_covered
 from .simulation import ExperimentPlan, generate, run_experiment, true_params
-from .trees import RegressionTree, TreeParams, fit_stage, fit_tree, predict_tree
+from .trees import RegressionTree, TreeParams, fit_stage, fit_tree
 
 __version__ = "0.1.0"

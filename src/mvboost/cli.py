@@ -1,8 +1,9 @@
 """Command-line surface: simulate | train | predict | evaluate | benchmark.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.  An
-input path that is a directory, and an output path that cannot be written or
-that exists without ``--force``, are usage errors, refused before any work.
+input path that is a directory, and an output path that cannot be written,
+that names an input or another output, or that exists without ``--force``,
+are usage errors, refused before any work.
 Every command is deterministic given its flags and seeds.
 """
 
@@ -55,9 +56,13 @@ def _require_finite(values, what):
         raise InvalidParameterError(f"non-finite {what}")
 
 
-def _check_overwrite(path, force):
-    """Refuse an output path as a usage error (exit 2): one in a directory that
-    does not exist, a directory, or an existing file without ``force``."""
+def _check_overwrite(path, force, option="out", **others):
+    """Refuse the output ``path`` of --``option`` as a usage error (exit 2): one
+    naming the file of an option in ``others`` (even with ``force``), one in a
+    missing directory, a directory, or an existing file without ``force``."""
+    for other, other_path in others.items():
+        if other_path and os.path.realpath(other_path) == os.path.realpath(path):
+            raise click.UsageError(f"--{option} {path} names the --{other.replace('_', '-')} file")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise click.UsageError(f"cannot write {path}: {folder} is not a directory")
@@ -159,11 +164,9 @@ def cmd_train(data_path, targets, features, val_file, val_frac, independent,
               plain_gradient, stages, learning_rate, patience, max_depth,
               min_samples_leaf, seed, out, log_path, force):
     """Fit a boosted distribution model and persist it as versioned JSON."""
-    _check_overwrite(out, force)
+    _check_overwrite(out, force, data=data_path, val_file=val_file, log=log_path)
     if log_path:
-        if os.path.realpath(log_path) == os.path.realpath(out):
-            raise click.UsageError(f"--log {log_path} names the --out model file")
-        _check_overwrite(log_path, force)
+        _check_overwrite(log_path, force, "log", data=data_path, val_file=val_file, out=out)
     target_cols = _parse_columns(targets)
     table = read_table(data_path)
     feature_cols = (
@@ -251,7 +254,7 @@ def _feature_names(doc):
 @_handle_errors
 def cmd_predict(model_path, data_path, out, force):
     """Write per-row predicted parameters (and NLL when targets are present)."""
-    _check_overwrite(out, force)
+    _check_overwrite(out, force, model=model_path, data=data_path)
     model, doc = load_model(model_path)
     table = read_table(data_path)
     feature_cols = _feature_names(doc)
@@ -292,7 +295,7 @@ def cmd_predict(model_path, data_path, out, force):
 def cmd_evaluate(model_path, data_path, truth_path, alpha, out, force):
     """Evaluate a model on a labeled dataset; emit a metrics report."""
     if out:
-        _check_overwrite(out, force)
+        _check_overwrite(out, force, model=model_path, data=data_path, truth=truth_path)
     model, doc = load_model(model_path)
     table = read_table(data_path)
     feature_cols = _feature_names(doc)
@@ -348,7 +351,14 @@ def _parse_n_grid(ctx, param, value):
         raise click.BadParameter(f"{value!r} is not a comma-separated list of integers") from None
     if not grid or min(grid) < 1:
         raise click.BadParameter(f"{value!r} must list positive training sizes")
-    return grid
+    return _distinct(value, grid)
+
+
+def _distinct(value, entries):
+    """``entries``, refused if one repeats: it would rerun the same seeded cells."""
+    if len(set(entries)) < len(entries):
+        raise click.BadParameter(f"{value!r} repeats an entry")
+    return entries
 
 
 def _parse_methods(ctx, param, value):
@@ -358,7 +368,7 @@ def _parse_methods(ctx, param, value):
         raise click.BadParameter(
             f"{value!r} must list methods from {', '.join(simulation.METHODS)}"
         )
-    return methods
+    return _distinct(value, methods)
 
 
 @main.command("benchmark")

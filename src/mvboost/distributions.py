@@ -15,11 +15,11 @@ and nu_ij to nu_ij / c, which makes fits independent of the target units.
 The Fisher information is block-diagonal (the mean block, then one block per
 row i of L), so the natural gradient needs no solve: it is z = mu - y for the
 means and (L_i^T L_i - l_i l_i^T / 2) g_i for row i, by Sherman-Morrison.
+The dense Fisher and the single-theta KL are test references (tests/oracles.py).
 
 The NLL, score, Mahalanobis distance and KL divergence take eta = L (mu - y)
 from one kernel over the rows of L on column vectors; only the natural
-gradient's matrix products, the covariance, sampling and the reference
-implementations build the (n, p, p) factor, with :func:`scale_matrices`.
+gradient, the covariance and sampling build the (n, p, p) L (:func:`scale_matrices`).
 
 All core computations have batch variants operating on an (n, M) array of
 parameter rows; these are what the boosting loop consumes.  They accept any
@@ -214,47 +214,6 @@ def covariance_batch(thetas, p) -> np.ndarray:
     return np.einsum("nik,njk->nij", inv_l, inv_l)
 
 
-def fisher_batch(thetas, p) -> np.ndarray:
-    """Fisher information matrices, (n, M, M), depending on theta only.
-
-    Block structure: the mean block is the precision L^T L; the mean/nu cross
-    block is identically zero; the nu block couples entries that share a row
-    of L, through the covariance Sigma = (L^T L)^{-1}.  Diagonal entries carry
-    the score's chain factor a_ii = exp(nu_ii).
-
-    The fit does not call this: :func:`natural_gradient_batch` inverts the
-    blocks in closed form.  It is kept as the reference the tests compare
-    against and for :func:`fisher_information`.
-    """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    n = thetas.shape[0]
-    m = param_count(p)
-    L = scale_matrices(thetas, p)
-    prec = np.einsum("nki,nkj->nij", L, L)
-    sigma = covariance_batch(thetas, p)
-    rows, cols = np.triu_indices(p)
-    a_diag = L[:, np.arange(p), np.arange(p)]
-
-    fisher = np.zeros((n, m, m))
-    fisher[:, :p, :p] = prec
-    n_nu = rows.size
-    for s in range(n_nu):
-        i, j = rows[s], cols[s]
-        for t in range(s, n_nu):
-            k, q = rows[t], cols[t]
-            if i != k:  # entries in different rows of L are uncorrelated
-                continue
-            if i == j and k == q:
-                val = a_diag[:, i] ** 2 * sigma[:, i, i] + 1.0
-            elif i == j:  # diagonal nu_ii against off-diagonal nu_iq
-                val = a_diag[:, i] * sigma[:, i, q]
-            else:  # both off-diagonal
-                val = sigma[:, j, q]
-            fisher[:, p + s, p + t] = val
-            fisher[:, p + t, p + s] = val
-    return fisher
-
-
 def natural_gradient_batch(thetas, Ys, p) -> np.ndarray:
     """Fisher-preconditioned score per row, in closed form.
 
@@ -311,10 +270,6 @@ def nll(theta: ThetaVector, y) -> float:
 
 def score(theta: ThetaVector, y) -> np.ndarray:
     return score_batch(theta.values, np.asarray(y, dtype=float), theta.dim_p)[0]
-
-
-def fisher_information(theta: ThetaVector) -> np.ndarray:
-    return fisher_batch(theta.values, theta.dim_p)[0]
 
 
 def natural_gradient(theta: ThetaVector, y) -> np.ndarray:
@@ -391,25 +346,6 @@ def marginal_mle(Y) -> ThetaVector:
         raise InvalidParameterError(
             "sample covariance is singular; jitter the targets or supply more data"
         ) from exc
-
-
-def kl_divergence(theta_true: ThetaVector, theta_pred: ThetaVector) -> float:
-    """KL(true || pred) between the two Gaussians, in nats."""
-    if theta_true.dim_p != theta_pred.dim_p:
-        raise InvalidParameterError("dimension mismatch between parameter vectors")
-    p = theta_true.dim_p
-    sigma_true = to_moment_form(theta_true).covariance
-    l_pred = scale_matrices(theta_pred.values, p)[0]
-    l_true = scale_matrices(theta_true.values, p)[0]
-    delta = theta_pred.mean - theta_true.mean
-    # Sigma_pred^{-1} = Lp^T Lp, so the trace and quadratic terms whiten with Lp.
-    trace_term = float(np.sum((l_pred @ sigma_true) * l_pred))
-    quad_term = float(np.sum((l_pred @ delta) ** 2))
-    # log|Sigma| = -2 sum log a_ii
-    log_det_ratio = 2.0 * float(
-        np.sum(np.log(np.diag(l_true))) - np.sum(np.log(np.diag(l_pred)))
-    )
-    return 0.5 * (trace_term + quad_term - p + log_det_ratio)
 
 
 def kl_divergence_batch(thetas_true, thetas_pred, p) -> np.ndarray:

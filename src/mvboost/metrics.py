@@ -53,15 +53,6 @@ def rmse(thetas, Ys) -> float:
     return float(np.sqrt(np.mean(resid * resid)))
 
 
-def chi2_cdf(x, dof) -> float:
-    """Chi-square CDF via the regularized lower incomplete gamma."""
-    from scipy.special import gammainc  # imported on use: it costs about 0.1 s
-
-    if x <= 0:
-        return 0.0
-    return float(gammainc(dof / 2.0, x / 2.0))
-
-
 def chi2_quantile(p_dof: int, alpha: float) -> float:
     """Inverse chi-square CDF, 2 * P^{-1}(p/2, alpha) by the inverse incomplete gamma."""
     if not 0.0 < alpha < 1.0:

@@ -67,6 +67,9 @@ class ExperimentPlan:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        for name in ("n_train_grid", "methods"):  # a repeat reruns the same seeded cells
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ValueError(f"{name} repeats an entry")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant}")
 

@@ -438,15 +438,6 @@ def fit_tree(X, targets, params: TreeParams | None = None) -> RegressionTree:
     return fit_stage(X, ys, params)[0][0]
 
 
-def predict_tree(tree: RegressionTree, x) -> float:
-    """Deterministic leaf lookup for one feature row (<= routes left)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    node = tree.root
-    while isinstance(node, Split):
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
-    return node.value
-
-
 def predict_tree_batch(tree: RegressionTree, X) -> np.ndarray:
     """Vectorized prediction for an (n, d) feature matrix.
 

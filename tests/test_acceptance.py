@@ -15,7 +15,6 @@ import pytest
 from mvboost.boosting import BoostConfig
 from mvboost.distributions import (
     ThetaVector,
-    fisher_batch,
     fit_theta_from_moments,
     kl_divergence_batch,
     nll_batch,
@@ -28,6 +27,7 @@ from mvboost.simulation import ExperimentPlan, run_experiment
 from mvboost.trees import Leaf, TreeParams, fit_tree, predict_tree_batch
 
 from conftest import ACCEPTANCE_LINES
+from oracles import fisher_batch
 
 
 def _report(number, name, ok, detail):

@@ -382,6 +382,30 @@ class TestTrainPredict:
         assert "--log" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, output, given", [
+        ("predict", "--out", "--data"),
+        ("train", "--out", "--data"),
+        ("evaluate", "--out", "--model"),
+        ("train", "--log", "--data"),
+    ])
+    def test_output_naming_an_input_refused_even_with_force(self, runner, tmp_path,
+                                                            command, output, given):
+        data, _ = simulate(runner, tmp_path / "d.csv", n=50)
+        model = stage_free_model(tmp_path)
+        args = {
+            "predict": ["predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv"],
+            "train": ["train", "--data", data, "--targets", "y1,y2", "--stages", "2",
+                      "--out", tmp_path / "m2.json"],
+            "evaluate": ["evaluate", "--model", model, "--data", data,
+                         "--out", tmp_path / "e.csv"],
+        }[command]
+        target = {"--data": data, "--model": model}[given]
+        before = target.read_bytes()
+        result = runner.invoke(main, [*map(str, args), output, str(target), "--force"])
+        assert result.exit_code == 2, result.output
+        assert output in result.output and given in result.output
+        assert target.read_bytes() == before
+
 
 DELETE = "<delete>"
 # Wrong types, NaN, infinities and out-of-range numbers for any field.
@@ -647,6 +671,8 @@ class TestErrors:
         ("benchmark", "--n-grid", "0"),
         ("benchmark", "--n-grid", "abc"),
         ("benchmark", "--methods", "foo"),
+        ("benchmark", "--n-grid", "60,60"),
+        ("benchmark", "--methods", "ngb,ngb"),
         ("train", "--val-frac", "1.5"),
         ("train", "--val-frac", "-0.5"),
     ], ids=lambda option: " ".join(option))

@@ -14,7 +14,6 @@ from mvboost.distributions import (
 )
 from mvboost.metrics import (
     MetricsReport,
-    chi2_cdf,
     chi2_quantile,
     evaluate,
     mahalanobis_sq,
@@ -24,6 +23,8 @@ from mvboost.metrics import (
     pr_coverage_rate,
     rmse,
 )
+
+from oracles import chi2_cdf
 
 
 def theta_from_cov(mean, cov):

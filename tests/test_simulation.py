@@ -134,6 +134,15 @@ class TestPlanAndCells:
         with pytest.raises(ValueError):
             ExperimentPlan(variant="other")
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_train_grid", (60, 80, 60)),
+        ("methods", ("ngb", "plain-gb", "ngb")),
+    ])
+    def test_plan_refuses_repeated_entries(self, field, value):
+        # a repeated entry reruns the same seeded cells as extra replications
+        with pytest.raises(ValueError, match="repeats"):
+            ExperimentPlan(**{field: value})
+
     def test_run_cell_reports_metrics(self):
         plan = ExperimentPlan(
             n_train_grid=(200,), n_val=80, n_test=150, replications=1,

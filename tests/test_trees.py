@@ -19,11 +19,11 @@ from mvboost.trees import (
     TreeParams,
     fit_stage,
     fit_tree,
-    predict_tree,
     predict_tree_batch,
 )
 
 from conftest import in_layout
+from oracles import predict_tree
 
 
 def training_sse(tree, X, ys):
