@@ -4,7 +4,8 @@ Each stage fits one regression tree per parameter component to the per-row
 natural gradients (Fisher-preconditioned score).  One
 :class:`trees.StageGrower`, made once per fit, sorts X and grows each stage's
 M trees together; it also returns their predictions on the training rows.
-The validation rows are predicted as :func:`predict_theta` predicts any rows.
+The validation rows are predicted as :func:`predict_theta` predicts any rows,
+one stage at a time.
 The stage is scaled by a line search over a fixed geometric grid, and the
 step is damped by the learning rate:
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import distributions
 from .distributions import InvalidParameterError, param_count
-from .trees import (RegressionTree, StageGrower, TreeParams, predict_sorted,
+from .trees import (RegressionTree, StageGrower, TreeParams, cells, predict_cells,
                     predict_tree_batch)
 
 # rho candidates for the stage line search: {2^k : k = -10..5}; includes 1.
@@ -130,27 +131,18 @@ def line_search(theta_batch, directions_batch, Y_batch) -> float:
     return best_rho
 
 
-def _stage_predictions(trees, X, predict):
-    """The (n, M) column-major predictions of one stage's trees on the rows
-    X, one column per tree from ``predict(tree, X)``."""
+def _stage_predictions(trees, X):
+    """The (n, M) predictions of one stage's trees on the column-major rows
+    X, one tree per column.  With one feature they are filled once per cell
+    of the trees' cut points that holds a row and gathered to the rows;
+    otherwise each tree traverses X (:func:`trees.predict_tree_batch`)."""
+    if X.shape[1] == 1:
+        intervals, tops, cell = cells(trees, X[:, 0])
+        return predict_cells(intervals, tops).take(cell, axis=0)
     out = np.empty((X.shape[0], len(trees)), order="F")
     for m, tree in enumerate(trees):
-        out[:, m] = predict(tree, X)
+        out[:, m] = predict_tree_batch(tree, X)
     return out
-
-
-def _prediction_route(X):
-    """How :func:`predict_theta` predicts the finite, column-major rows X:
-    ``(rows, predict, order)``, where ``predict(tree, rows)`` gives a tree's
-    predictions on ``rows``.  With one feature, ``rows`` are the values of x
-    sorted once, at ``order`` of X, and ``predict`` fills them from the leaf
-    intervals; otherwise ``rows`` is X, each tree traverses it and ``order``
-    is None.
-    """
-    if X.shape[1] == 1:
-        order = np.argsort(X[:, 0])
-        return X[order, 0], predict_sorted, order
-    return X, predict_tree_batch, None
 
 
 def _targets(Y, name):
@@ -202,7 +194,6 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
     best_val = np.inf
     if have_val:
         Y_val = np.asfortranarray(Y_val)
-        val_rows, val_predict, val_order = _prediction_route(X_val)
         thetas_val = np.asfortranarray(np.tile(theta0, (X_val.shape[0], 1)))
         best_val = float(np.mean(distributions.nll_batch(thetas_val, Y_val, p)))
         val_path.append(best_val)
@@ -226,10 +217,8 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
         train_path.append(float(np.mean(distributions.nll_batch(thetas, Y_train, p))))
 
         if have_val:
-            f_val = _stage_predictions(trees, val_rows, val_predict)
-            if val_order is not None:  # back to X_val's row order
-                f_val[val_order] = f_val.copy()
-            thetas_val = thetas_val - config.learning_rate * rho * f_val
+            f_val = _stage_predictions(trees, X_val)
+            thetas_val -= config.learning_rate * rho * f_val
             val_nll = float(np.mean(distributions.nll_batch(thetas_val, Y_val, p)))
             val_path.append(val_nll)
             if val_nll < best_val:  # strict: ties keep the earlier, smaller model
@@ -255,10 +244,13 @@ def fit(X_train, Y_train, X_val=None, Y_val=None,
 def predict_theta(model: BoostModel, X) -> np.ndarray:
     """Per-row theta, using stages up to best_stage only; (n, M), row-major.
 
-    A one-feature model sorts the rows by x once and fills each tree's
-    predictions from its leaf intervals (:func:`trees.predict_sorted`);
-    a model with more features sends the rows down each tree
-    (:func:`trees.predict_tree_batch`).  Both give the same values bit for bit.
+    A one-feature model is constant between consecutive cut points of its
+    trees: it sums its stages once per cell of the cut points that holds a
+    row, at the cell's top (:func:`trees.cells`,
+    :func:`trees.predict_cells`), and gives each row its cell's theta.  A
+    model with more features sends the rows down each tree
+    (:func:`trees.predict_tree_batch`).  Both give the same values bit for
+    bit: each theta is the same float operations in the same order.
     """
     X = np.asfortranarray(np.atleast_2d(np.asarray(X, dtype=float)))
     if X.shape[1] != model.n_features:
@@ -267,17 +259,20 @@ def predict_theta(model: BoostModel, X) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
-    rows, predict, order = _prediction_route(X)
+    stages = model.stages[: model.best_stage]
+    lr = model.config.learning_rate
+    if X.shape[1] == 1:
+        intervals, tops, cell = cells([t for s in stages for t in s.trees], X[:, 0])
+        thetas = np.asfortranarray(np.tile(model.theta0, (tops.size, 1)))
+        m = model.n_params  # trees per stage
+        for b, stage in enumerate(stages):
+            thetas -= lr * stage.rho * predict_cells(intervals[b * m:(b + 1) * m], tops)
+        return thetas.take(cell, axis=0)  # row-major
     # column-major while the stages add up, as in fit; returned row-major
     thetas = np.asfortranarray(np.tile(model.theta0, (X.shape[0], 1)))
-    lr = model.config.learning_rate
-    for stage in model.stages[: model.best_stage]:
-        thetas -= lr * stage.rho * _stage_predictions(stage.trees, rows, predict)
-    if order is None:
-        return np.ascontiguousarray(thetas)
-    out = np.empty(thetas.shape)
-    out[order] = thetas  # back to the caller's row order
-    return out
+    for stage in stages:
+        thetas -= lr * stage.rho * _stage_predictions(stage.trees, X)
+    return np.ascontiguousarray(thetas)
 
 
 @dataclass(frozen=True)

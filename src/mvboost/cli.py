@@ -58,10 +58,13 @@ def _require_finite(values, what):
 
 def _check_overwrite(path, force, option="out", **others):
     """Refuse the output ``path`` of --``option`` as a usage error (exit 2): one
-    naming the file of an option in ``others`` (even with ``force``), one in a
+    naming the file of an option in ``others`` (even with ``force``), by its
+    real path or, when both exist, as the same file (a hard link), one in a
     missing directory, a directory, or an existing file without ``force``."""
     for other, other_path in others.items():
-        if other_path and os.path.realpath(other_path) == os.path.realpath(path):
+        if other_path and (os.path.realpath(other_path) == os.path.realpath(path)
+                           or os.path.exists(other_path) and os.path.exists(path)
+                           and os.path.samefile(other_path, path)):
             raise click.UsageError(f"--{option} {path} names the --{other.replace('_', '-')} file")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):

@@ -31,8 +31,11 @@ Prediction comes in two forms with the same values bit for bit.
 :func:`predict_tree_batch` sends any rows down a tree, one recursive
 traversal that partitions the row indices at each split.  A one-feature
 tree is a step function of x: :func:`leaf_intervals` gives each leaf's
-interval (lo, hi], and :func:`predict_sorted` fills the predictions of rows
-sorted by x with one ``np.repeat`` of the leaf values.
+interval (lo, hi].  Trees of one feature together are constant between
+consecutive cut points, their leaves' hi: :func:`cells` finds the cells of
+the cut points that hold a row and each row's cell, and
+:func:`predict_cells` fills the trees' predictions at the cells' tops with
+one ``np.repeat`` of each tree's leaf values.
 """
 
 from __future__ import annotations
@@ -487,15 +490,37 @@ def leaf_intervals(tree: RegressionTree):
     return lo[by_lo], np.array(hi)[by_lo], np.array(value)[by_lo]
 
 
-def predict_sorted(tree: RegressionTree, xs) -> np.ndarray:
-    """:func:`predict_tree_batch` of a one-feature tree on the ascending
-    values ``xs``, bit for bit.
+def cells(trees, x):
+    """The cells of the cut points of one-feature trees that hold a row of x.
+
+    The cut points are every leaf's hi and +inf; cell k is (cuts[k - 1],
+    cuts[k]].  Each nonempty leaf interval is a run of whole cells, its lo
+    being -inf or the hi of another leaf of the same tree, so every tree is
+    constant on a cell and its value there is its value at the cell's top.
+    Returns ``(intervals, tops, cell)``: each tree's :func:`leaf_intervals`,
+    the ascending tops of the cells that hold a row, and each row's index
+    into ``tops``.
+    """
+    intervals = [leaf_intervals(tree) for tree in trees]
+    cuts = np.unique(np.concatenate([hi for _, hi, _ in intervals] + [[math.inf]]))
+    at = cuts.searchsorted(x)
+    held = np.zeros(cuts.size, bool)
+    held[at] = True
+    return intervals, cuts[held], (np.cumsum(held) - 1).take(at)
+
+
+def predict_cells(intervals, xs) -> np.ndarray:
+    """The (len(xs), len(intervals)) column-major predictions, on the
+    ascending values ``xs``, of the trees whose :func:`leaf_intervals` are
+    ``intervals``: bit for bit those of :func:`predict_tree_batch`.
 
     The rows in the leaf (lo, hi] are the run of ``xs`` between
     ``searchsorted(xs, lo, "right")`` and ``searchsorted(xs, hi, "right")``;
     those runs lie back to back in order of lo, and an empty interval holds
-    no row, so one ``np.repeat`` of the leaf values fills the predictions.
+    no row, so one ``np.repeat`` of the leaf values fills a tree's column.
     """
-    lo, hi, value = leaf_intervals(tree)
-    counts = xs.searchsorted(hi, "right") - xs.searchsorted(lo, "right")
-    return np.repeat(value, np.maximum(counts, 0))
+    out = np.empty((xs.size, len(intervals)), order="F")
+    for m, (lo, hi, value) in enumerate(intervals):
+        counts = xs.searchsorted(hi, "right") - xs.searchsorted(lo, "right")
+        out[:, m] = np.repeat(value, np.maximum(counts, 0))
+    return out

@@ -31,8 +31,9 @@ from mvboost.trees import (
     RegressionTree,
     Split,
     TreeParams,
+    cells,
     leaf_intervals,
-    predict_sorted,
+    predict_cells,
     predict_tree_batch,
 )
 
@@ -236,8 +237,9 @@ class TestEarlyStopping:
 
 
 class TestValidationRows:
-    """The validation rows are predicted as predict_theta predicts them; on
-    two features, one of them tied, each tree traverses the rows."""
+    """The validation rows are predicted as predict_theta predicts them, and
+    as the per-tree reference does; on two features, one of them tied, each
+    tree traverses the rows."""
 
     @staticmethod
     def _data():
@@ -251,8 +253,9 @@ class TestValidationRows:
         model = fit(X, Y, Xv, Yv, BoostConfig(n_stages_max=15, patience=3, learning_rate=0.2))
         assert len(model.val_nll_path) == len(model.stages) + 1
         for b, val_nll in enumerate(model.val_nll_path):
-            thetas = predict_theta(dataclasses.replace(model, best_stage=b), Xv)
-            assert val_nll == float(np.mean(nll_batch(thetas, Yv, 2)))
+            truncated = dataclasses.replace(model, best_stage=b)
+            assert val_nll == float(np.mean(nll_batch(predict_theta(truncated, Xv), Yv, 2)))
+            assert val_nll == float(np.mean(nll_batch(reference_theta(truncated, Xv), Yv, 2)))
 
     def test_validation_rows_do_not_change_the_stages(self):
         X, Y, Xv, Yv = self._data()
@@ -265,9 +268,9 @@ class TestValidationRows:
 
 
 class TestValidationRowsOneFeature(TestValidationRows):
-    """The same on one feature, whose validation rows are sorted once,
-    predicted from the leaf intervals and put back in their order.  The
-    rows tie, and some lie on a candidate threshold, which routes them left."""
+    """The same on one feature, whose validation rows are predicted once per
+    cell of each stage's cut points that holds a row.  The rows tie, and some
+    lie on a candidate threshold, which routes them left."""
 
     @staticmethod
     def _data():
@@ -484,8 +487,9 @@ class TestTargetScaleRange:
 
 
 class TestOneFeaturePrediction:
-    """A one-feature model predicts from the rows sorted once, filling each
-    tree's leaf intervals; it must give the per-tree reference bit for bit."""
+    """A one-feature model predicts once per cell of its cut points that holds
+    a row, filling each tree's leaf intervals at the cells' tops; it must give
+    the per-tree reference bit for bit."""
 
     @staticmethod
     def _problem(seed, n, p, decimals):
@@ -559,10 +563,31 @@ class TestOneFeaturePrediction:
         all_right = RegressionTree(n_features=1, root=Split(0, -inf, Leaf(9.0), Leaf(10.0)))
         xs = np.array([-1e300, -1.0, -1.0, 0.0, 0.0, 1e-300, 1.0, 2.0, 1e300])
         for t in (tree, all_left, all_right):
-            assert np.array_equal(predict_sorted(t, xs), predict_tree_batch(t, xs[:, None]))
-            assert predict_sorted(t, xs[:0]).shape == (0,)
+            intervals = [leaf_intervals(t)]
+            assert np.array_equal(predict_cells(intervals, xs)[:, 0],
+                                  predict_tree_batch(t, xs[:, None]))
+            assert predict_cells(intervals, xs[:0]).shape == (0, 1)
         model = BoostModel(theta0=np.array([0.5, -0.25]), config=BoostConfig(learning_rate=0.5),
                            stages=(Stage(0.75, (tree, all_left)), Stage(2.0, (all_right, tree))),
                            best_stage=2, n_features=1)
         self._assert_reference(model, xs[::-1, None])
         assert predict_theta(model, [[0.0]]).tolist() == [[0.5 - 0.375 - 10.0, -0.25 - 2.625 - 1.0]]
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 5000])
+    def test_theta_table_has_a_row_per_occupied_cell_at_most(self, monkeypatch, n_rows):
+        X, Y, _, rng = self._problem(3, 40, 2, 1)
+        model = fit(X, Y, config=self._config(3))
+        k = len(set(thresholds(model)))
+        rows = rng.uniform(-1.0, 4.0, size=(n_rows, 1))
+        sizes = []
+
+        def spy(intervals, xs):
+            sizes.append(xs.size)
+            return predict_cells(intervals, xs)
+
+        monkeypatch.setattr(boosting, "predict_cells", spy)
+        self._assert_reference(model, rows)
+        assert len(sizes) == model.best_stage
+        assert max(sizes) <= min(n_rows, k + 1)
+        _, tops, cell = cells([t for s in model.stages for t in s.trees], rows[:, 0])
+        assert tops.size == np.unique(cell).size and np.all(tops[:-1] < tops[1:])

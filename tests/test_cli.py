@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -405,6 +407,23 @@ class TestTrainPredict:
         assert result.exit_code == 2, result.output
         assert output in result.output and given in result.output
         assert target.read_bytes() == before
+
+    @pytest.mark.parametrize("command,output", [("predict", "--out"), ("train", "--log")])
+    def test_output_hard_linked_to_the_data_refused_even_with_force(self, runner, tmp_path,
+                                                                   command, output):
+        data, _ = simulate(runner, tmp_path / "d.csv", n=50)
+        link = tmp_path / "h.csv"
+        os.link(data, link)
+        args = {
+            "predict": ["predict", "--model", stage_free_model(tmp_path), "--data", data],
+            "train": ["train", "--data", data, "--targets", "y1,y2", "--stages", "2",
+                      "--out", tmp_path / "m2.json"],
+        }[command]
+        before = hashlib.md5(data.read_bytes()).hexdigest()
+        result = runner.invoke(main, [*map(str, args), output, str(link), "--force"])
+        assert result.exit_code == 2, result.output
+        assert output in result.output and "--data" in result.output
+        assert hashlib.md5(data.read_bytes()).hexdigest() == before
 
 
 DELETE = "<delete>"

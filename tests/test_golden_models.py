@@ -6,8 +6,8 @@ change that claims to leave fits bit-identical must leave these equal; one
 that changes a result on purpose regenerates the file and says so.  The
 models read back from the file must also predict the per-tree reference sum
 bit for bit: ``p2_d3_tied`` through the per-tree traversal of a model with
-several features, ``p3_d1_tie_free`` through the sorted leaf intervals of a
-one-feature model.
+several features, ``p3_d1_tie_free`` once per occupied cell of the cut
+points of a one-feature model.
 """
 
 import json
